@@ -50,7 +50,7 @@ for shape, value in report.n_by_shape.items():
         print(f"  {shape}: {value}")
 
 # Counting distinct supports of one type never needs the partition walk:
-# a dedicated subset walk gives the same numbers directly.
+# a chain-count walk on the order gives the same numbers directly.
 print("\nsupport walk cross-check at n=2:")
 for t in all_types()[:4]:
     assert oracle_supports(rank, t) == report.sigma[t]

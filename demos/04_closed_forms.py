@@ -18,7 +18,7 @@ from cascade.closed_forms import (
 )
 from cascade.geometry import Rank
 
-# Closed nested sums against the subset walk, rank by rank.
+# Closed nested sums against the chain-count walk, rank by rank.
 print("supports of each type: closed sum vs walk")
 for n in (1, 2, 3):
     rank = Rank(n)

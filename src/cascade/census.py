@@ -3,17 +3,20 @@
 Two oracles ground the library.  The full oracle walks every length-4
 multiset over the trapezoid, computes N(pi) from scratch and buckets it by
 support type, degree and shape.  The support oracle counts the supports of a
-single type by a geometric walk (incomparable pair first, then chain rows)
-and scales to much larger ranks.  A third walk repeats the support count on
-the upside-down trapezoid, so the up-down symmetry of the counts can be
-checked on two genuinely different geometries.
+single type on the cone order itself: each incomparable pair with the right
+row tag contributes the number of chains above it times the number below
+it, and chains are counted by a memoised recursion over the order, so no
+candidate is built and it scales to much larger ranks.  A third walk
+repeats the support count on the upside-down trapezoid, so the up-down
+symmetry of the counts can be checked on two genuinely different
+geometries.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import geometry
 from .geometry import Rank, TrapezoidPoint
@@ -214,11 +217,10 @@ class _Region:
     """Index tables for a finite cone-ordered point set.
 
     down[i] and up[i] are bitmasks of the points strictly below and strictly
-    above point i in the order; comp[i] is their union.  down_list[i] lists
-    the bits of down[i], so chains can be walked top to bottom.
+    above point i in the order; comp[i] is their union.
     """
 
-    __slots__ = ("points", "rows", "degrees", "down", "up", "comp", "down_list")
+    __slots__ = ("points", "rows", "degrees", "down", "up", "comp")
 
     def __init__(
         self,
@@ -245,7 +247,6 @@ class _Region:
         self.down = down
         self.up = up
         self.comp = [d | u for d, u in zip(down, up)]
-        self.down_list = [_bits(mask) for mask in down]
 
     def classify(self, ids: Sequence[int]) -> SupportType | None:
         """Bitmask twin of classify_support, on point indices."""
@@ -287,15 +288,6 @@ class _Region:
         if s:
             return _intern("C", s, delta, 0)
         return None
-
-
-def _bits(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
 
 
 _INTERNED: dict[tuple, SupportType] = {}
@@ -343,139 +335,92 @@ def _region(rank: Rank, flipped: bool) -> _Region:
     return _REGIONS.setdefault(key, region)
 
 
-def _mask_chains(region: _Region, mask: int, size: int) -> Iterator[tuple[int, ...]]:
-    """Descending chains of the given size inside the masked point set."""
+def _chains(region: _Region, mask: int, size: int, memo: dict) -> int:
+    """Number of chains of the given size inside the masked point set.
+
+    Every chain is counted once, from its top point i, so
+    chains(mask, r) = sum over i in mask of chains(down[i] & mask, r - 1):
+    chain counting in the incidence algebra of the order.  Results for
+    size >= 2 are memoised on (mask, size) in the caller's memo.
+    """
     if size == 0:
-        yield ()
-        return
-    down = region.down
-    m = mask
-    while m:
-        low = m & -m
-        i = low.bit_length() - 1
-        m ^= low
-        if size == 1:
-            yield (i,)
-        else:
-            for rest in _mask_chains(region, down[i] & mask, size - 1):
-                yield (i,) + rest
-
-
-def _count_chain_supports(region: _Region, t: SupportType, firsts: Iterable[int]) -> int:
-    """Count chains of size t.r, validating each candidate by classification."""
-    target = _canonical(t)
-    classify = region.classify
-    down_list = region.down_list
-    r = t.r
-    count = 0
-    if r == 2:
-        for i1 in firsts:
-            for i2 in down_list[i1]:
-                if classify((i1, i2)) is target:
-                    count += 1
-    elif r == 3:
-        for i1 in firsts:
-            for i2 in down_list[i1]:
-                for i3 in down_list[i2]:
-                    if classify((i1, i2, i3)) is target:
-                        count += 1
-    elif r == 4:
-        for i1 in firsts:
-            for i2 in down_list[i1]:
-                for i3 in down_list[i2]:
-                    for i4 in down_list[i3]:
-                        if classify((i1, i2, i3, i4)) is target:
-                            count += 1
-    else:
-        def walk(chain: tuple[int, ...]) -> int:
-            if len(chain) == r:
-                return 1 if classify(chain) is target else 0
-            return sum(walk(chain + (q,)) for q in down_list[chain[-1]])
-
-        count = sum(walk((i1,)) for i1 in firsts)
+        return 1
+    if size == 1:
+        return mask.bit_count()
+    key = (mask, size)
+    count = memo.get(key)
+    if count is None:
+        down = region.down
+        count = 0
+        m = mask
+        while m:
+            low = m & -m
+            m ^= low
+            count += _chains(region, down[low.bit_length() - 1] & mask, size - 1, memo)
+        memo[key] = count
     return count
 
 
-def _count_pair_supports(region: _Region, t: SupportType, firsts: Iterable[int]) -> int:
-    """Count pair-anchored supports: incomparable pair plus chains around it."""
-    target = _canonical(t)
-    classify = region.classify
-    comp, up, down, rows = region.comp, region.up, region.down, region.rows
+def _count_supports(region: _Region, t: SupportType) -> int:
+    """Count the supports of type t in the region as sets.
+
+    A(r) is a chain of r points.  A B, C or D support is one incomparable
+    pair b < c with the row tag of t, a chain of t's upper size inside the
+    common up-set of b and c and a chain of its lower size inside their
+    common down-set; transitivity makes every such set a support of type t,
+    and its incomparable pair is unique, so each support is counted once.
+    """
+    memo: dict[tuple[int, int], int] = {}
     m = len(region.points)
+    if t.family == "A":
+        return _chains(region, (1 << m) - 1, t.r, memo)
+    above = t.r if t.family in ("B", "D") else 0
+    below = t.s if t.family == "D" else (t.r if t.family == "C" else 0)
     same = t.delta == SAME_ROW
-    above_size = t.r if t.family in ("B", "D") else 0
-    below_size = t.s if t.family == "D" else (t.r if t.family == "C" else 0)
+    comp, up, down, rows = region.comp, region.up, region.down, region.rows
+    row_masks: dict[int, int] = {}
+    for i, row in enumerate(rows):
+        row_masks[row] = row_masks.get(row, 0) | (1 << i)
     count = 0
-    for b in firsts:
-        cb = comp[b]
-        rb = rows[b]
+    for b in range(m):
+        row_mask = row_masks[rows[b]]
+        partners = ~comp[b] & ((1 << m) - (2 << b))  # incomparable, index > b
+        partners &= row_mask if same else ~row_mask
         ub, db = up[b], down[b]
-        for c in range(b + 1, m):
-            if (cb >> c) & 1:
-                continue
-            if (rows[c] == rb) != same:
-                continue
-            above = ub & up[c]
-            below = db & down[c]
-            for upper in _mask_chains(region, above, above_size):
-                for lower in _mask_chains(region, below, below_size):
-                    if classify(upper + (b, c) + lower) is target:
-                        count += 1
+        while partners:
+            low = partners & -partners
+            partners ^= low
+            c = low.bit_length() - 1
+            count += _chains(region, ub & up[c], above, memo) * _chains(
+                region, db & down[c], below, memo
+            )
     return count
 
 
-def _count_supports(region: _Region, t: SupportType, firsts: Iterable[int]) -> int:
-    if t.family == "A":
-        return _count_chain_supports(region, t, firsts)
-    return _count_pair_supports(region, t, firsts)
+def oracle_supports(rank: Rank, t: SupportType) -> int:
+    """Count supports of type t in the trapezoid by a walk on the order.
 
-
-def _o2_worker(args: tuple) -> int:
-    n, k, flipped, key, start, step = args
-    region = _region(Rank(n, k), flipped)
-    t = SupportType.from_key(key)
-    return _count_supports(region, t, range(start, len(region.points), step))
-
-
-def _count_supports_parallel(
-    rank: Rank, t: SupportType, flipped: bool, threads: int
-) -> int:
-    region = _region(rank, flipped)
-    if threads <= 1:
-        return _count_supports(region, t, range(len(region.points)))
-    import multiprocessing as mp
-
-    jobs = [
-        (rank.n, rank.k, flipped, t.key(), w, threads) for w in range(threads)
-    ]
-    with mp.Pool(threads) as pool:
-        return sum(pool.map(_o2_worker, jobs))
-
-
-def oracle_supports(rank: Rank, t: SupportType, threads: int = 1) -> int:
-    """Count supports of type t in the trapezoid by exhaustive geometric walk.
-
-    Candidates are generated in the row-descending discipline of the counting
-    arguments (incomparable pair first, chains around it) and every candidate
-    is validated by the classifier, so the count is independent of any closed
-    formula.  Structurally impossible types simply count 0.
+    Supports are counted by a memoised chain-count recursion over the cone
+    order (incomparable pair first, chains above and below it), without
+    consulting any closed formula.  Structurally impossible types simply
+    count 0.
     """
     rank.validate()
-    return _count_supports_parallel(rank, t, False, threads)
+    return _count_supports(_region(rank, False), t)
 
 
-def oracle_flipped(rank: Rank, t: SupportType, threads: int = 1) -> int:
-    """Same count on the upside-down trapezoid (long base up)."""
+def oracle_flipped(rank: Rank, t: SupportType) -> int:
+    """Same chain-count walk on the upside-down trapezoid (long base up)."""
     rank.validate()
-    return _count_supports_parallel(rank, t, True, threads)
+    return _count_supports(_region(rank, True), t)
 
 
-def n_by_type_from_supports(rank: Rank, t: SupportType, threads: int = 1) -> int:
+def n_by_type_from_supports(rank: Rank, t: SupportType) -> int:
     """N contributed by all supports of type t: support count times the
     per-support embedding coefficient."""
     from .closed_forms import embeddings_per_support
 
-    return embeddings_per_support(rank.k, t) * oracle_supports(rank, t, threads)
+    return embeddings_per_support(rank.k, t) * oracle_supports(rank, t)
 
 
 def _o1_accumulate(region: _Region, firsts: Iterable[int]) -> tuple:

@@ -2,7 +2,8 @@
 
 Output is fully deterministic for a fixed configuration: no timings, no
 thread counts, fixed key orders everywhere.  Exit codes follow CI
-conventions: 0 all checks pass, 1 an identity fails, 2 usage error.
+conventions: 0 all checks pass, 1 an identity fails, 2 usage error or a
+report that cannot be written.
 """
 from __future__ import annotations
 
@@ -79,12 +80,20 @@ def _resolve_threads(flag: int | None) -> int | None:
     return value
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+def _emit(text: str, out: str | None) -> int:
+    """Write the report to stdout or to the --out file.
+
+    Returns 0, or 2 with a reported error when the report cannot be written."""
+    try:
+        if out is None:
+            sys.stdout.write(text)
+        else:
+            with open(out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+    except OSError as exc:
+        target = out or "stdout"
+        return _usage_error(f"cannot write report to {target}: {exc.strerror or exc}")
+    return 0
 
 
 def _shape_key(shape: tuple[int, ...]) -> str:
@@ -195,7 +204,7 @@ def cmd_verify(config: RunConfig) -> int:
         # Support walks against the closed nested sums.
         counted: dict[str, int] = {}
         for t in types:
-            counted[t.key()] = census.oracle_supports(rank, t, threads=config.threads)
+            counted[t.key()] = census.oracle_supports(rank, t)
             checks.add(
                 n,
                 "support-count",
@@ -262,18 +271,16 @@ def cmd_verify(config: RunConfig) -> int:
                 "flipped",
                 t.key(),
                 counted[mirror(t).key()],
-                census.oracle_flipped(rank, t, threads=config.threads),
+                census.oracle_flipped(rank, t),
             )
-    _emit(checks.render(config.fmt), config.out)
-    return 1 if checks.failures else 0
+    return _emit(checks.render(config.fmt), config.out) or (1 if checks.failures else 0)
 
 
 def _count_payload(config: RunConfig, rank: Rank):
     """Ordered (section, rows) pairs plus the total, or None on usage error."""
     if config.types_only:
         by_type = {
-            t.key(): census.n_by_type_from_supports(rank, t, threads=config.threads)
-            for t in all_types()
+            t.key(): census.n_by_type_from_supports(rank, t) for t in all_types()
         }
         return [("byType", by_type)], sum(by_type.values())
     if rank.n > config.oracle_cap:
@@ -321,8 +328,7 @@ def cmd_count(config: RunConfig) -> int:
             lines.extend(f"  {key} {value}" for key, value in rows.items())
         lines.append(f"total {total}")
         text = "\n".join(lines) + "\n"
-    _emit(text, config.out)
-    return 0
+    return _emit(text, config.out)
 
 
 def cmd_print_array(config: RunConfig) -> int:
@@ -352,8 +358,7 @@ def cmd_print_array(config: RunConfig) -> int:
                 cells.append(f"{p.d}:{p.local_row},{p.local_col}")
             lines.append(" ".join(cells))
         blocks.append("\n".join(lines))
-    _emit("\n\n".join(blocks) + "\n", config.out)
-    return 0
+    return _emit("\n\n".join(blocks) + "\n", config.out)
 
 
 def _add_common(sub: argparse.ArgumentParser, *, coords: bool = False) -> None:
@@ -367,7 +372,10 @@ def _add_common(sub: argparse.ArgumentParser, *, coords: bool = False) -> None:
     )
     sub.add_argument(
         "--threads", type=int, default=None,
-        help=f"worker processes; 0 = auto; falls back to ${ENV_THREADS}",
+        help=(
+            "worker processes for the full multiset census; 0 = auto; "
+            f"falls back to ${ENV_THREADS}"
+        ),
     )
     sub.add_argument("--oracle-cap", type=int, default=4, dest="oracle_cap")
     sub.add_argument("--out", default=None, help="write the report to a file")

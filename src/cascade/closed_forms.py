@@ -269,7 +269,7 @@ def dim_relation_space(rank: Rank) -> int:
         dim_s_theta(rank, 3) + dim_s_theta(rank, 4) + dim_4theta_minus_alpha(rank)
     )
     if product != parts:
-        raise ArithmeticError("tri-sume identity violated")
+        raise ArithmeticError("tri-sum identity violated")
     return parts
 
 

@@ -145,16 +145,6 @@ def trapezoid_degree(rank: Rank, p: TrapezoidPoint) -> int:
     return degree_of(strip_local(rank, p.row, p.col))
 
 
-def triangle_points(rank: Rank) -> list[tuple[int, int]]:
-    """Local (local_row, local_col) positions of one triangle, long side first."""
-    n = rank.n
-    return [
-        (i, j)
-        for i in range(1, 2 * n + 1)
-        for j in range(1, 2 * n + 2 - i)
-    ]
-
-
 def root_label(rank: Rank, local_row: int, local_col: int) -> RootLabel:
     """Root-vector label of a local triangle position.
 

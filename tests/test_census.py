@@ -9,6 +9,7 @@ from __future__ import annotations
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cascade import census, closed_forms
 from cascade.census import (
@@ -199,7 +200,9 @@ class TestOracleFull:
     def test_cap_and_rank_guards(self):
         with pytest.raises(ValueError, match="oracle_full capped"):
             oracle_full(Rank(5))
-        oracle_full(Rank(5), cap=5)  # explicit cap raise is allowed
+        oracle_full(Rank(2), cap=2)  # a rank at the cap is allowed
+        with pytest.raises(ValueError, match="oracle_full capped"):
+            oracle_full(Rank(3), cap=2)
         with pytest.raises(ValueError):
             oracle_full(Rank(0))
         with pytest.raises(ValueError, match="k=2"):
@@ -261,10 +264,32 @@ class TestOracleSupports:
         assert n_by_type_from_supports(rank, SupportType.b(1, "|")) == 11
         assert n_by_type_from_supports(rank, SupportType.a(3)) == 8 * 6 == 48
 
-    def test_parallel_split_identical(self):
-        rank = Rank(2)
-        for t in all_types():
-            assert oracle_supports(rank, t, threads=2) == oracle_supports(rank, t)
+
+@given(
+    st.integers(min_value=1, max_value=2),
+    st.booleans(),
+    st.data(),
+    st.integers(min_value=0, max_value=4),
+)
+@settings(max_examples=100, deadline=None)
+def test_chain_count_matches_classified_subsets(n, flipped, data, size):
+    """The chain-count recursion against validating every candidate subset."""
+    region = census._region(Rank(n), flipped)
+    m = len(region.points)
+    mask = data.draw(st.integers(min_value=0, max_value=(1 << m) - 1), label="mask")
+    pts = [p for i, p in enumerate(region.points) if (mask >> i) & 1]
+    if size == 0:
+        expected = 1
+    elif size == 1:
+        expected = len(pts)
+    else:
+        order = census._flipped_leq if flipped else leq
+        expected = sum(
+            1
+            for subset in combinations(pts, size)
+            if classify_support(subset, leq=order) == SupportType.a(size)
+        )
+    assert census._chains(region, mask, size, {}) == expected
 
 
 class TestOracleFlipped:

@@ -19,6 +19,16 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_unwritable_out_rejected(capsys, tmp_path, *argv):
+    """A report that cannot be written is exit 2 with one error line."""
+    target = tmp_path / "missing" / "report.txt"
+    code, out, err = run_cli(capsys, *argv, "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write report to {target}: ")
+    assert err.count("\n") == 1
+
+
 class TestVerify:
     def test_n1_passes(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--n", "1")
@@ -86,6 +96,9 @@ class TestVerify:
         assert code == 2
         assert "empty rank range" in err
 
+    def test_unwritable_out_rejected(self, capsys, tmp_path):
+        assert_unwritable_out_rejected(capsys, tmp_path, "verify", "--n", "1")
+
 
 class TestCount:
     def test_json_full_report(self, capsys):
@@ -151,6 +164,9 @@ class TestCount:
         assert code == 2
         assert "single --n" in err
 
+    def test_unwritable_out_rejected(self, capsys, tmp_path):
+        assert_unwritable_out_rejected(capsys, tmp_path, "count", "--n", "1")
+
 
 class TestPrintArray:
     def test_n1_triangles(self, capsys):
@@ -186,6 +202,9 @@ class TestPrintArray:
         code, _, err = run_cli(capsys, "print-array", "--n", "1..3")
         assert code == 2
         assert "single --n" in err
+
+    def test_unwritable_out_rejected(self, capsys, tmp_path):
+        assert_unwritable_out_rejected(capsys, tmp_path, "print-array", "--n", "1")
 
 
 class TestDeterminismAndThreads:
