@@ -1,15 +1,17 @@
 """Command-line front end: verification suites, count tables, array renderings.
 
-Output is fully deterministic for a fixed configuration: no timings, no
-thread counts, fixed key orders everywhere.  Exit codes follow CI
-conventions: 0 all checks pass, 1 an identity fails, 2 usage error or a
-report that cannot be written.
+Every command runs in one process.  Output is fully deterministic for a
+fixed configuration: no timings, fixed key orders everywhere.  Exit codes
+follow CI conventions: 0 all checks pass, 1 an identity fails (a mismatch,
+or a closed form raising ArithmeticError, each reported as a FAIL row), 2
+usage error or a report that cannot be written.
 """
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
-import os
 import re
 import sys
 from dataclasses import dataclass
@@ -20,8 +22,6 @@ from .geometry import Rank
 
 _RANGE_RE = re.compile(r"^(\d+)\.\.(\d+)$")
 
-ENV_THREADS = "CASCADE_THREADS"
-
 
 @dataclass
 class RunConfig:
@@ -29,9 +29,7 @@ class RunConfig:
 
     command: str
     ns: tuple[int, ...]
-    k: int = 2
     fmt: str = "text"
-    threads: int = 0
     oracle_cap: int = 4
     types_only: bool = False
     skip_full_oracle: bool = False
@@ -51,33 +49,6 @@ def _parse_n(text: str) -> tuple[int, ...]:
 def _usage_error(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
-
-
-def _resolve_threads(flag: int | None) -> int | None:
-    """Threads from the flag, else the environment, else auto.
-
-    Returns the worker count, or None to signal a usage error (reported)."""
-    if flag is not None:
-        value = flag
-    else:
-        raw = os.environ.get(ENV_THREADS)
-        if raw is None:
-            value = 0
-        else:
-            try:
-                value = int(raw)
-            except ValueError:
-                print(
-                    f"error: {ENV_THREADS} must be an integer, got {raw!r}",
-                    file=sys.stderr,
-                )
-                return None
-    if value < 0:
-        print(f"error: thread count must be >= 0, got {value}", file=sys.stderr)
-        return None
-    if value == 0:
-        value = os.cpu_count() or 1
-    return value
 
 
 def _emit(text: str, out: str | None) -> int:
@@ -156,11 +127,14 @@ class _Checks:
         return json.dumps({"results": results, "pass": not self.failures}, indent=2) + "\n"
 
     def render_csv(self) -> str:
-        lines = ["check,n,key,expected,got,status"]
+        # The writer quotes a fault message that carries a comma.
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(("check", "n", "key", "expected", "got", "status"))
         for n, check, key, expected, got in self.rows:
             status = "ok" if expected == got else "FAIL"
-            lines.append(f"{check},{n},{key},{expected},{got},{status}")
-        return "\n".join(lines) + "\n"
+            writer.writerow((check, n, key, expected, got, status))
+        return buf.getvalue()
 
     def render(self, fmt: str) -> str:
         if fmt == "json":
@@ -172,76 +146,78 @@ class _Checks:
 
 def cmd_verify(config: RunConfig) -> int:
     """Run every identity check for each rank in the configured range."""
-    if config.k != 2:
-        return _usage_error("closed forms are fixed at k=2")
     checks = _Checks()
     for n in config.ns:
-        rank = Rank(n, config.k)
-        types = all_types()
+        _verify_rank(checks, Rank(n), config)
+    return _emit(checks.render(config.fmt), config.out) or (1 if checks.failures else 0)
+
+
+def _verify_rank(checks: _Checks, rank: Rank, config: RunConfig) -> None:
+    """Add the check rows of one rank.
+
+    A closed form raising ArithmeticError (an inexact division or a broken
+    internal identity) ends the rank with one FAIL row of the running check
+    that carries the message.
+    """
+    n = rank.n
+    types = all_types()
+    check = "full-census"
+    try:
         # Full-census comparison, affordable only below the cap.
         if not config.skip_full_oracle and n <= config.oracle_cap:
-            report = census.oracle_full(
-                rank, cap=config.oracle_cap, threads=config.threads
-            )
+            report = census.oracle_full(rank, cap=config.oracle_cap)
             checks.add(
-                n, "full-census", "total", closed_forms.n_total_closed(rank), report.total
+                n, check, "total", closed_forms.n_total_closed(rank), report.total
             )
-            checks.add(n, "full-census", "unclassified", 0, report.unclassified)
+            checks.add(n, check, "unclassified", 0, report.unclassified)
             for t in types:
                 checks.add(
                     n,
-                    "full-census",
+                    check,
                     t.key(),
                     closed_forms.n_by_type_closed(rank, t),
                     report.n_by_type[t],
                 )
-            checks.add(
-                n, "full-census", "degree-sum", report.total, sum(report.n_by_degree.values())
-            )
-            checks.add(
-                n, "full-census", "shape-sum", report.total, sum(report.n_by_shape.values())
-            )
+            checks.add(n, check, "degree-sum", report.total, sum(report.n_by_degree.values()))
+            checks.add(n, check, "shape-sum", report.total, sum(report.n_by_shape.values()))
         # Support walks against the closed nested sums.
+        check = "support-count"
         counted: dict[str, int] = {}
         for t in types:
             counted[t.key()] = census.oracle_supports(rank, t)
             checks.add(
-                n,
-                "support-count",
-                t.key(),
-                closed_forms.support_count_closed(rank, t),
-                counted[t.key()],
+                n, check, t.key(), closed_forms.support_count_closed(rank, t), counted[t.key()]
             )
         oracle_total = sum(
-            closed_forms.embeddings_per_support(config.k, t) * counted[t.key()]
-            for t in types
+            closed_forms.embeddings_per_support(rank.k, t) * counted[t.key()] for t in types
         )
-        checks.add(
-            n, "support-count", "oracle-total", closed_forms.n_total_closed(rank), oracle_total
-        )
+        checks.add(n, check, "oracle-total", closed_forms.n_total_closed(rank), oracle_total)
         # Coefficient times closed sum against the per-type polynomial.
+        check = "type-count"
         for t in types:
             checks.add(
                 n,
-                "type-count",
+                check,
                 t.key(),
                 closed_forms.n_by_type_closed(rank, t),
-                closed_forms.embeddings_per_support(config.k, t)
+                closed_forms.embeddings_per_support(rank.k, t)
                 * closed_forms.support_count_closed(rank, t),
             )
         # Sum of the thirteen polynomials against the product form.
+        check = "total-sum"
         checks.add(
             n,
-            "total-sum",
+            check,
             "all",
             closed_forms.n_total_closed(rank),
             sum(closed_forms.n_by_type_closed(rank, t) for t in types),
         )
         # Weyl dimension cross-checks.
+        check = "weyl"
         for s in range(5):
             checks.add(
                 n,
-                "weyl",
+                check,
                 f"{s}theta",
                 closed_forms.dim_s_theta(rank, s),
                 closed_forms.weyl_dim(rank, (2 * s,)),
@@ -249,31 +225,28 @@ def cmd_verify(config: RunConfig) -> int:
         if n >= 2:
             checks.add(
                 n,
-                "weyl",
+                check,
                 "7+1",
                 closed_forms.dim_4theta_minus_alpha(rank),
                 closed_forms.weyl_dim(rank, (7, 1)),
             )
         checks.add(
             n,
-            "weyl",
+            check,
             "relation-space",
             2 * n * closed_forms.binomial(2 * n + 6, 7),
             closed_forms.dim_relation_space(rank),
         )
-        checks.add(
-            n, "equivalence", "identity", True, closed_forms.equivalence_identity(rank)
-        )
+        check = "equivalence"
+        checks.add(n, check, "identity", True, closed_forms.equivalence_identity(rank))
         # Up-down symmetry: flipped walk equals the mirrored plain walk.
+        check = "flipped"
         for t in types:
             checks.add(
-                n,
-                "flipped",
-                t.key(),
-                counted[mirror(t).key()],
-                census.oracle_flipped(rank, t),
+                n, check, t.key(), counted[mirror(t).key()], census.oracle_flipped(rank, t)
             )
-    return _emit(checks.render(config.fmt), config.out) or (1 if checks.failures else 0)
+    except ArithmeticError as exc:
+        checks.add(n, check, "error", "no error", str(exc))
 
 
 def _count_payload(config: RunConfig, rank: Rank):
@@ -285,7 +258,7 @@ def _count_payload(config: RunConfig, rank: Rank):
         return [("byType", by_type)], sum(by_type.values())
     if rank.n > config.oracle_cap:
         return None
-    report = census.oracle_full(rank, cap=config.oracle_cap, threads=config.threads)
+    report = census.oracle_full(rank, cap=config.oracle_cap)
     by_type = {t.key(): report.n_by_type[t] for t in all_types()}
     by_degree = {str(d): report.n_by_degree[d] for d in range(-4, -13, -1)}
     by_shape = {_shape_key(s): report.n_by_shape[s] for s in _shape_order()}
@@ -297,11 +270,9 @@ def _count_payload(config: RunConfig, rank: Rank):
 
 def cmd_count(config: RunConfig) -> int:
     """Emit the census table for a single rank."""
-    if config.k != 2:
-        return _usage_error("closed forms are fixed at k=2")
     if len(config.ns) != 1:
         return _usage_error("count takes a single --n value")
-    rank = Rank(config.ns[0], config.k)
+    rank = Rank(config.ns[0])
     payload = _count_payload(config, rank)
     if payload is None:
         return _usage_error(
@@ -335,7 +306,7 @@ def cmd_print_array(config: RunConfig) -> int:
     """Render the three root-labelled triangles, coordinates on request."""
     if len(config.ns) != 1:
         return _usage_error("print-array takes a single --n value")
-    rank = Rank(config.ns[0], config.k)
+    rank = Rank(config.ns[0])
     n = rank.n
     blocks = []
     for d in (1, 2, 3):
@@ -366,16 +337,8 @@ def _add_common(sub: argparse.ArgumentParser, *, coords: bool = False) -> None:
         "--n", type=_parse_n, required=True, metavar="INT|A..B",
         help="rank, or inclusive range like 1..3",
     )
-    sub.add_argument("--k", type=int, default=2, help="charge level (default 2)")
     sub.add_argument(
         "--format", choices=("json", "csv", "text"), default="text", dest="fmt"
-    )
-    sub.add_argument(
-        "--threads", type=int, default=None,
-        help=(
-            "worker processes for the full multiset census; 0 = auto; "
-            f"falls back to ${ENV_THREADS}"
-        ),
     )
     sub.add_argument("--oracle-cap", type=int, default=4, dest="oracle_cap")
     sub.add_argument("--out", default=None, help="write the report to a file")
@@ -421,16 +384,11 @@ def main(argv: list[str] | None = None) -> int:
         return _usage_error(f"rank must be >= 1, got {min(ns)}")
     if args.oracle_cap < 1:
         return _usage_error(f"oracle cap must be >= 1, got {args.oracle_cap}")
-    threads = _resolve_threads(args.threads)
-    if threads is None:
-        return 2
 
     config = RunConfig(
         command=args.command,
         ns=ns,
-        k=args.k,
         fmt=args.fmt,
-        threads=threads,
         oracle_cap=args.oracle_cap,
         types_only=getattr(args, "types_only", False),
         skip_full_oracle=getattr(args, "skip_full_oracle", False),

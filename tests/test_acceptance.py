@@ -84,8 +84,8 @@ def test_criterion_03_oracles_agree(census_runs):
             assert report.n_by_type[t] == walked, (n, t.key())
         assert report.total == n_total_closed(rank)
     assert reports[3].total == 40194
-    assert times[3] < 30
-    assert times[4] < 600
+    assert times[3] < 5
+    assert times[4] < 30
     print(
         "\nPASS criterion 3: census and support walks agree for n=1..4 "
         f"(n=3 total 40194 in {times[3]:.2f}s, n=4 in {times[4]:.2f}s)"
@@ -205,17 +205,16 @@ def test_criterion_12_deterministic_output(tmp_path):
     renders = {}
     for command, extra in (
         ("verify", ["--n", "1..2"]),
-        ("count", ["--n", "2", "--format", "json"]),
+        ("count", ["--n", "2"]),
     ):
-        outputs = set()
-        for threads in ("1", "2", "8"):
-            target = tmp_path / f"{command}-{threads}.txt"
-            code = cli.main(
-                [command, *extra, "--threads", threads, "--out", str(target)]
-            )
-            assert code == 0
-            outputs.add(target.read_bytes())
-        assert len(outputs) == 1, command
-        renders[command] = outputs.pop()
-    assert b"pass" in renders["verify"]
-    print("\nPASS criterion 12: verify and count byte-identical across 1/2/8 threads")
+        for fmt in ("text", "json", "csv"):
+            outputs = []
+            for run in (1, 2):
+                target = tmp_path / f"{command}-{fmt}-{run}.txt"
+                code = cli.main([command, *extra, "--format", fmt, "--out", str(target)])
+                assert code == 0
+                outputs.append(target.read_bytes())
+            assert outputs[0] == outputs[1], (command, fmt)
+            renders[command, fmt] = outputs[0]
+    assert b"pass" in renders["verify", "text"]
+    print("\nPASS criterion 12: verify and count byte-identical across two runs, 3 formats")

@@ -121,9 +121,9 @@ class TestClassifySupport:
                 assert region.classify(ids) == expected
 
 
-def _naive_census(rank: Rank):
-    """Reference full census built directly on the embeddings machinery."""
-    region = trapezoid_points(rank)
+def _naive_census(rank: Rank, points):
+    """Reference full census over the given points, built directly on the
+    embeddings machinery."""
     deg = lambda p: trapezoid_degree(rank, p)
     by_type = {t: 0 for t in all_types()}
     by_degree = {}
@@ -132,7 +132,7 @@ def _naive_census(rank: Rank):
     seen_supports = set()
     total = 0
     unclassified = 0
-    for pi in enumerate_partitions(region, 4):
+    for pi in enumerate_partitions(points, 4):
         n_pi = n_count(pi, rank)
         if not n_pi:
             continue
@@ -156,7 +156,9 @@ class TestOracleFull:
     def test_matches_naive_reference(self, n):
         rank = Rank(n)
         report = oracle_full(rank)
-        total, unclassified, by_type, by_degree, by_shape, sigma = _naive_census(rank)
+        total, unclassified, by_type, by_degree, by_shape, sigma = _naive_census(
+            rank, trapezoid_points(rank)
+        )
         assert report.total == total
         assert report.unclassified == unclassified == 0
         assert report.n_by_type == by_type
@@ -208,15 +210,23 @@ class TestOracleFull:
         with pytest.raises(ValueError, match="k=2"):
             oracle_full(Rank(1, 3))
 
-    def test_parallel_split_identical(self):
-        serial = oracle_full(Rank(2), threads=1)
-        for threads in (2, 3, 8):
-            parallel = oracle_full(Rank(2), threads=threads)
-            assert parallel.total == serial.total
-            assert parallel.n_by_type == serial.n_by_type
-            assert parallel.n_by_degree == serial.n_by_degree
-            assert parallel.n_by_shape == serial.n_by_shape
-            assert parallel.sigma == serial.sigma
+
+@given(st.sampled_from([2, 3]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_census_walk_matches_naive_reference_on_subsets(n, data):
+    """The bitmask walk against n_count on a random subset of the trapezoid."""
+    rank = Rank(n)
+    points = data.draw(
+        st.lists(st.sampled_from(trapezoid_points(rank)), unique=True, max_size=10),
+        label="points",
+    )
+    region = census._Region(points, leq, lambda p: trapezoid_degree(rank, p))
+    total, unclassified, by_type, by_degree, by_shape, sigma = census._census(region)
+    expected = _naive_census(rank, points)
+    assert (total, unclassified, by_type) == expected[:3]
+    assert {d: v for d, v in by_degree.items() if v} == expected[3]
+    assert {s: v for s, v in by_shape.items() if v} == expected[4]
+    assert sigma == expected[5]
 
 
 def _brute_support_count(rank: Rank, t: SupportType, flipped: bool = False) -> int:
@@ -226,11 +236,10 @@ def _brute_support_count(rank: Rank, t: SupportType, flipped: bool = False) -> i
     else:
         region = trapezoid_points(rank)
         order = leq
-    want = census._canonical(t)
     return sum(
         1
         for subset in combinations(region, t.size)
-        if classify_support(subset, leq=order) == want
+        if classify_support(subset, leq=order) == t
     )
 
 

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from cascade import cli
+from cascade import cli, closed_forms
 from cascade.census import TYPE_KEYS, SupportType
 from cascade.closed_forms import n_by_type_closed
 from cascade.geometry import Rank
@@ -83,11 +83,6 @@ class TestVerify:
         assert out == ""
         assert err == "error: rank must be >= 1, got 0\n"
 
-    def test_k_other_than_two_rejected(self, capsys):
-        code, _, err = run_cli(capsys, "verify", "--n", "1", "--k", "3")
-        assert code == 2
-        assert "k=2" in err
-
     def test_bad_range_rejected(self, capsys):
         with pytest.raises(SystemExit):
             cli.main(["verify", "--n", "two"])
@@ -98,6 +93,48 @@ class TestVerify:
 
     def test_unwritable_out_rejected(self, capsys, tmp_path):
         assert_unwritable_out_rejected(capsys, tmp_path, "verify", "--n", "1")
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_closed_form_fault_is_fail_row(self, capsys, monkeypatch, fmt):
+        # A2's polynomial with a denominator that does not divide it.
+        coeffs, _ = closed_forms._POLYS["A2"]
+        monkeypatch.setitem(closed_forms._POLYS, "A2", (coeffs, 7))
+        code, out, err = run_cli(capsys, "verify", "--n", "1..2", "--format", fmt)
+        assert code == 1
+        assert err == ""
+        message = "polynomial transcription fault: A2 at n={}"
+        if fmt == "text":
+            lines = out.splitlines()
+            for n in (1, 2):
+                assert (
+                    f"FAIL full-census error n={n} expected no error got "
+                    + message.format(n)
+                ) in lines
+            assert lines[-1] == "FAIL 2 of 6 checks"
+        elif fmt == "json":
+            doc = json.loads(out)
+            assert doc["pass"] is False
+            failed = [row for row in doc["results"] if not row["ok"]]
+            assert [(row["n"], row["check"], row["got"]) for row in failed] == [
+                (n, "full-census", message.format(n)) for n in (1, 2)
+            ]
+        else:
+            assert out.splitlines()[3] == (
+                "full-census,1,error,no error," + message.format(1) + ",FAIL"
+            )
+
+    def test_fault_message_with_comma_is_quoted_in_csv(self, capsys, monkeypatch):
+        def faulty(rank, lam):
+            raise ArithmeticError(f"polynomial transcription fault: weyl at {lam}")
+
+        monkeypatch.setattr(closed_forms, "weyl_dim", faulty)
+        code, out, _ = run_cli(
+            capsys, "verify", "--n", "1", "--skip-full-oracle", "--format", "csv"
+        )
+        assert code == 1
+        assert out.splitlines()[-1] == (
+            'weyl,1,error,no error,"polynomial transcription fault: weyl at (0,)",FAIL'
+        )
 
 
 class TestCount:
@@ -167,6 +204,15 @@ class TestCount:
     def test_unwritable_out_rejected(self, capsys, tmp_path):
         assert_unwritable_out_rejected(capsys, tmp_path, "count", "--n", "1")
 
+    def test_out_writes_file(self, tmp_path, capsys):
+        target = tmp_path / "report.json"
+        code, out, _ = run_cli(
+            capsys, "count", "--n", "1", "--format", "json", "--out", str(target)
+        )
+        assert code == 0
+        assert out == ""
+        assert json.loads(target.read_text())["total"] == 126
+
 
 class TestPrintArray:
     def test_n1_triangles(self, capsys):
@@ -207,55 +253,12 @@ class TestPrintArray:
         assert_unwritable_out_rejected(capsys, tmp_path, "print-array", "--n", "1")
 
 
-class TestDeterminismAndThreads:
-    def test_verify_identical_across_thread_counts(self, capsys):
-        outputs = set()
-        for threads in ("1", "2"):
-            _, out, _ = run_cli(
-                capsys, "verify", "--n", "1..2", "--threads", threads
-            )
-            outputs.add(out)
-        assert len(outputs) == 1
-
-    def test_count_identical_across_thread_counts(self, capsys):
-        outputs = set()
-        for threads in ("1", "2", "3"):
-            _, out, _ = run_cli(
-                capsys, "count", "--n", "2", "--format", "json", "--threads", threads
-            )
-            outputs.add(out)
-        assert len(outputs) == 1
-
-    def test_out_writes_file(self, tmp_path, capsys):
-        target = tmp_path / "report.json"
-        code, out, _ = run_cli(
-            capsys, "count", "--n", "1", "--format", "json", "--out", str(target)
-        )
-        assert code == 0
-        assert out == ""
-        assert json.loads(target.read_text())["total"] == 126
-
-    def test_env_var_supplies_thread_count(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.ENV_THREADS, "2")
-        code, out, _ = run_cli(capsys, "count", "--n", "1", "--format", "json")
-        assert code == 0
-        assert json.loads(out)["total"] == 126
-
-    def test_invalid_env_var_rejected(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.ENV_THREADS, "many")
-        code, _, err = run_cli(capsys, "count", "--n", "1")
-        assert code == 2
-        assert cli.ENV_THREADS in err
-
-    def test_flag_overrides_invalid_env_var(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.ENV_THREADS, "many")
-        code, _, _ = run_cli(capsys, "count", "--n", "1", "--threads", "1")
-        assert code == 0
-
-    def test_negative_threads_rejected(self, capsys):
-        code, _, err = run_cli(capsys, "verify", "--n", "1", "--threads", "-1")
-        assert code == 2
-        assert "thread count" in err
+@pytest.mark.parametrize("command", ["verify", "count", "print-array"])
+def test_k_flag_is_usage_error(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--n", "1", "--k", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --k 3" in capsys.readouterr().err
 
 
 def test_module_entry_point():
