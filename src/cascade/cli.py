@@ -15,6 +15,7 @@ import json
 import re
 import sys
 from dataclasses import dataclass
+from functools import cache
 
 from . import census, closed_forms, geometry
 from .census import SupportType, all_types, mirror
@@ -157,27 +158,23 @@ def _verify_rank(checks: _Checks, rank: Rank, config: RunConfig) -> None:
 
     A closed form raising ArithmeticError (an inexact division or a broken
     internal identity) ends the rank with one FAIL row of the running check
-    that carries the message.
+    that carries the message.  Each closed value is computed once, where a
+    check first needs it, so a fault is still reported by that check.
     """
     n = rank.n
     types = all_types()
+    total_closed = cache(lambda: closed_forms.n_total_closed(rank))
+    type_closed = cache(lambda t: closed_forms.n_by_type_closed(rank, t))
+    support_closed = cache(lambda t: closed_forms.support_count_closed(rank, t))
     check = "full-census"
     try:
         # Full-census comparison, affordable only below the cap.
         if not config.skip_full_oracle and n <= config.oracle_cap:
             report = census.oracle_full(rank, cap=config.oracle_cap)
-            checks.add(
-                n, check, "total", closed_forms.n_total_closed(rank), report.total
-            )
+            checks.add(n, check, "total", total_closed(), report.total)
             checks.add(n, check, "unclassified", 0, report.unclassified)
             for t in types:
-                checks.add(
-                    n,
-                    check,
-                    t.key(),
-                    closed_forms.n_by_type_closed(rank, t),
-                    report.n_by_type[t],
-                )
+                checks.add(n, check, t.key(), type_closed(t), report.n_by_type[t])
             checks.add(n, check, "degree-sum", report.total, sum(report.n_by_degree.values()))
             checks.add(n, check, "shape-sum", report.total, sum(report.n_by_shape.values()))
         # Support walks against the closed nested sums.
@@ -185,13 +182,11 @@ def _verify_rank(checks: _Checks, rank: Rank, config: RunConfig) -> None:
         counted: dict[str, int] = {}
         for t in types:
             counted[t.key()] = census.oracle_supports(rank, t)
-            checks.add(
-                n, check, t.key(), closed_forms.support_count_closed(rank, t), counted[t.key()]
-            )
+            checks.add(n, check, t.key(), support_closed(t), counted[t.key()])
         oracle_total = sum(
             closed_forms.embeddings_per_support(rank.k, t) * counted[t.key()] for t in types
         )
-        checks.add(n, check, "oracle-total", closed_forms.n_total_closed(rank), oracle_total)
+        checks.add(n, check, "oracle-total", total_closed(), oracle_total)
         # Coefficient times closed sum against the per-type polynomial.
         check = "type-count"
         for t in types:
@@ -199,19 +194,12 @@ def _verify_rank(checks: _Checks, rank: Rank, config: RunConfig) -> None:
                 n,
                 check,
                 t.key(),
-                closed_forms.n_by_type_closed(rank, t),
-                closed_forms.embeddings_per_support(rank.k, t)
-                * closed_forms.support_count_closed(rank, t),
+                type_closed(t),
+                closed_forms.embeddings_per_support(rank.k, t) * support_closed(t),
             )
         # Sum of the thirteen polynomials against the product form.
         check = "total-sum"
-        checks.add(
-            n,
-            check,
-            "all",
-            closed_forms.n_total_closed(rank),
-            sum(closed_forms.n_by_type_closed(rank, t) for t in types),
-        )
+        checks.add(n, check, "all", total_closed(), sum(type_closed(t) for t in types))
         # Weyl dimension cross-checks.
         check = "weyl"
         for s in range(5):

@@ -3,11 +3,14 @@
 Everything here is exact integer arithmetic.  The nested sums mirror the
 displayed counting formulas bound for bound, so an empty range contributes
 exactly 0 and structurally impossible parameters need no special casing.
+Each distinct inner chain sum is evaluated once per call: by anchor row, and
+by (start, depth) inside a chain, in caches local to the call.
 Every division is checked: a nonzero remainder means a transcription fault,
 not a rounding issue, and raises immediately.
 """
 from __future__ import annotations
 
+from functools import cache
 from math import comb
 from typing import Callable, Sequence
 
@@ -35,18 +38,23 @@ def embeddings_per_support(k: int, t) -> int:
 
 
 def _gap_chain(start: int, p: int, length: int, low: Callable[[int], int],
-               tail: Callable[[int], int]) -> int:
+               tail: Callable[[int], int], memo: dict) -> int:
     """Sum over strictly descending tails i_p > ... > i_length below start.
 
     Each step multiplies by the gap factor (i_{p-1} - i_p + 1); the innermost
     value is fed to tail.  An exhausted range contributes 0, an already
-    complete chain (p > length) contributes tail(start).
+    complete chain (p > length) contributes tail(start).  Values for p <=
+    length are memoised on (start, p) in the caller's memo, so one memo must
+    serve exactly one (low, tail) pair.
     """
     if p > length:
         return tail(start)
-    total = 0
-    for i in range(low(p), start):
-        total += (start - i + 1) * _gap_chain(i, p + 1, length, low, tail)
+    total = memo.get((start, p))
+    if total is None:
+        total = 0
+        for i in range(low(p), start):
+            total += (start - i + 1) * _gap_chain(i, p + 1, length, low, tail, memo)
+        memo[start, p] = total
     return total
 
 
@@ -57,86 +65,95 @@ def _one(_: int) -> int:
 def _upper_chain(n: int, length: int, low: Callable[[int], int], anchor: int) -> int:
     """Chains hanging below the top edge: i_1 in [low(1), 2n+1], weighted by
     the row width (4n+1-i_1), gap factors, and the landing gap to the anchor."""
+    memo: dict = {}
     total = 0
     for i1 in range(low(1), 2 * n + 2):
         total += (4 * n + 1 - i1) * _gap_chain(
-            i1, 2, length, low, lambda last: last - anchor + 1
+            i1, 2, length, low, lambda last: last - anchor + 1, memo
         )
     return total
 
 
-def _anchored_chain(anchor: int, length: int, low: Callable[[int], int]) -> int:
-    """Chains starting at or below an anchor row: l_1 in [low(1), anchor],
-    weighted by the gap (anchor - l_1 + 1) and then descending gap factors."""
-    total = 0
-    for l1 in range(low(1), anchor + 1):
-        total += (anchor - l1 + 1) * _gap_chain(l1, 2, length, low, _one)
-    return total
+def _anchored_chains(length: int, low: Callable[[int], int]) -> Callable[[int], int]:
+    """Chains starting at or below an anchor row, by anchor: l_1 in
+    [low(1), anchor], weighted by the gap (anchor - l_1 + 1) and then
+    descending gap factors.  Neither low nor the tail depends on the anchor,
+    so every anchor shares one gap memo."""
+    memo: dict = {}
+
+    def chain(anchor: int) -> int:
+        total = 0
+        for l1 in range(low(1), anchor + 1):
+            total += (anchor - l1 + 1) * _gap_chain(l1, 2, length, low, _one, memo)
+        return total
+
+    return cache(chain)
 
 
 def _sum_a(n: int, r: int) -> int:
+    memo: dict = {}
     total = 0
     for i1 in range(r, 2 * n + 2):
-        total += (4 * n + 1 - i1) * _gap_chain(i1, 2, r, lambda p: r - p + 1, _one)
+        total += (4 * n + 1 - i1) * _gap_chain(i1, 2, r, lambda p: r - p + 1, _one, memo)
     return total
 
 
 def _sum_b_same(n: int, r: int) -> int:
+    upper = cache(lambda a: _upper_chain(n, r, lambda p: a + r - p, a))
     total = 0
     for d in range(1, 2 * n + 2 - r):
         for ell in range(1, 2 * n + 3 - d - r):
-            total += _upper_chain(n, r, lambda p: ell + d + r - p, ell + d)
+            total += upper(ell + d)
     return total
 
 
 def _sum_c_same(n: int, r: int) -> int:
+    lower = _anchored_chains(r, lambda p: r - p + 1)
     total = 0
     for d in range(1, 2 * n + 2 - r):
         for ell in range(d + r, 2 * n + 2):
-            total += (4 * n + 1 - ell - d) * _anchored_chain(
-                ell - d, r, lambda p: r - p + 1
-            )
+            total += (4 * n + 1 - ell - d) * lower(ell - d)
     return total
 
 
 def _sum_d_same(n: int, r: int, s: int) -> int:
+    upper = cache(lambda a: _upper_chain(n, r, lambda p: a - r + p, a))
+    lower = _anchored_chains(s, lambda q: s - q + 1)
     total = 0
     for d in range(1, (2 * n + 2 - r - s) // 2 + 1):
         for ell in range(s + d, 2 * n + 3 - r - d):
-            upper = _upper_chain(n, r, lambda p: ell + d - r + p, ell + d)
-            lower = _anchored_chain(ell - d, s, lambda q: s - q + 1)
-            total += upper * lower
+            total += upper(ell + d) * lower(ell - d)
     return total
 
 
 def _sum_b_diff(n: int, r: int) -> int:
+    upper = cache(lambda a: _upper_chain(n, r, lambda p: a + r - p, a))
     total = 0
     for d in range(1, 2 * n + 1 - r):
         for h in range(1, 2 * n + 2 - d - r):
             for ell in range(h + 1, 2 * n + 3 - d - r):
-                total += _upper_chain(n, r, lambda p: ell + d + r - p, ell + d)
+                total += upper(ell + d)
     return 2 * total
 
 
 def _sum_c_diff(n: int, r: int) -> int:
+    lower = _anchored_chains(r, lambda p: r - p + 1)
     total = 0
     for d in range(1, 2 * n + 1 - r):
         for h in range(1, 2 * n + 2 - d - r):
             for ell in range(d + h + r, 2 * n + 2):
-                total += (4 * n + 1 - ell - d) * _anchored_chain(
-                    ell - d - h, r, lambda p: r - p + 1
-                )
+                total += (4 * n + 1 - ell - d) * lower(ell - d - h)
     return 2 * total
 
 
 def _sum_d_diff(n: int, r: int, s: int) -> int:
+    upper = cache(lambda a: _upper_chain(n, r, lambda p: a - r + p, a))
+    lower = _anchored_chains(s, lambda q: s - q + 1)
     total = 0
     for d in range(1, (2 * n + 1 - r - s) // 2 + 1):
         for h in range(1, 2 * n + 3 - 2 * d - r - s):
             for ell in range(s + d + h, 2 * n + 3 - r - d):
-                upper = _upper_chain(n, r, lambda p: ell + d - r + p, ell + d)
-                lower = _anchored_chain(ell - d - h, s, lambda q: s - q + 1)
-                total += upper * lower
+                total += upper(ell + d) * lower(ell - d - h)
     return 2 * total
 
 

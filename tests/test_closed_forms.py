@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cascade.census import SupportType, all_types, oracle_supports
 from cascade.closed_forms import (
@@ -61,7 +62,7 @@ class TestSupportCountClosed:
             embeddings_per_support(2, t) * expected[t.key()] for t in all_types()
         ) == 126
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 16])
     def test_matches_oracle(self, n):
         rank = Rank(n)
         for t in all_types():
@@ -73,6 +74,27 @@ class TestSupportCountClosed:
         for key in ("A5", "B3|", "C||3", "D2|1", "D1||2"):
             t = SupportType.from_key(key)
             assert support_count_closed(rank, t) == oracle_supports(rank, t), key
+
+
+_ROW_TAGS = st.sampled_from(["|", "||"])
+_GENERIC_TYPES = st.one_of(
+    st.builds(SupportType.a, st.integers(min_value=2, max_value=5)),
+    st.builds(SupportType.b, st.integers(min_value=1, max_value=3), _ROW_TAGS),
+    st.builds(SupportType.c, _ROW_TAGS, st.integers(min_value=1, max_value=3)),
+    st.builds(
+        SupportType.d,
+        st.integers(min_value=1, max_value=2),
+        _ROW_TAGS,
+        st.integers(min_value=1, max_value=2),
+    ),
+)
+
+
+@given(st.integers(min_value=1, max_value=3), _GENERIC_TYPES)
+@settings(max_examples=100, deadline=None)
+def test_memoised_sum_matches_walk_on_generic_types(n, t):
+    """The anchor and gap-chain caches against the support walk, any shape."""
+    assert support_count_closed(Rank(n), t) == oracle_supports(Rank(n), t)
 
 
 class TestPolynomials:
@@ -98,7 +120,7 @@ class TestPolynomials:
         for key, value in expected.items():
             assert n_by_type_closed(Rank(2), SupportType.from_key(key)) == value, key
 
-    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("n", range(1, 41))
     def test_agree_with_coefficient_times_count(self, n):
         rank = Rank(n)
         for t in all_types():
@@ -106,7 +128,7 @@ class TestPolynomials:
                 2, t
             ) * support_count_closed(rank, t), t.key()
 
-    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("n", range(1, 41))
     def test_sum_to_total(self, n):
         rank = Rank(n)
         assert sum(n_by_type_closed(rank, t) for t in all_types()) == n_total_closed(
