@@ -1,4 +1,4 @@
-"""Brute-force census of embedding counts, independent of every closed form.
+"""Brute-force census of embedding counts.
 
 Two oracles ground the library.  The full oracle sums N(pi) over every
 length-4 multiset on the trapezoid in one process and buckets it by support
@@ -12,12 +12,15 @@ it, and chains are counted by a memoised recursion over the order, so no
 candidate is built and it scales to much larger ranks.  A third walk
 repeats the support count on the upside-down trapezoid, so the up-down
 symmetry of the counts can be checked on two genuinely different
-geometries.
+geometries.  The walks consult no closed form; only
+n_by_type_from_supports multiplies a walked support count by the
+per-support coefficient from closed_forms.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations_with_replacement
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -304,34 +307,27 @@ def _intern(family: str, r: int, delta: str | None, s: int) -> SupportType:
     return t
 
 
-_REGIONS: dict[tuple[int, bool], _Region] = {}
-
-
 def _flipped_leq(a: TrapezoidPoint, b: TrapezoidPoint) -> bool:
     # On the upside-down trapezoid cones open down and to the left.
     return a.row <= b.row and b.col - (b.row - a.row) <= a.col <= b.col
 
 
-def _region(rank: Rank, flipped: bool) -> _Region:
-    key = (rank.n, flipped)
-    cached = _REGIONS.get(key)
-    if cached is not None:
-        return cached
-    n = rank.n
+@cache
+def _region(n: int, flipped: bool) -> _Region:
+    """The index tables of the rank-n trapezoid, built once per process."""
     if flipped:
         points = [
             TrapezoidPoint(i, j)
             for i in range(1, 2 * n + 2)
             for j in range(1, 2 * n + i)
         ]
-        region = _Region(points, _flipped_leq)
-    else:
-        region = _Region(
-            geometry.trapezoid_points(rank),
-            geometry.leq,
-            lambda p: geometry.trapezoid_degree(rank, p),
-        )
-    return _REGIONS.setdefault(key, region)
+        return _Region(points, _flipped_leq)
+    rank = Rank(n)
+    return _Region(
+        geometry.trapezoid_points(rank),
+        geometry.leq,
+        lambda p: geometry.trapezoid_degree(rank, p),
+    )
 
 
 def _chains(region: _Region, mask: int, size: int, memo: dict) -> int:
@@ -404,14 +400,12 @@ def oracle_supports(rank: Rank, t: SupportType) -> int:
     consulting any closed formula.  Structurally impossible types simply
     count 0.
     """
-    rank.validate()
-    return _count_supports(_region(rank, False), t)
+    return _count_supports(_region(rank.n, False), t)
 
 
 def oracle_flipped(rank: Rank, t: SupportType) -> int:
     """Same chain-count walk on the upside-down trapezoid (long base up)."""
-    rank.validate()
-    return _count_supports(_region(rank, True), t)
+    return _count_supports(_region(rank.n, True), t)
 
 
 def n_by_type_from_supports(rank: Rank, t: SupportType) -> int:
@@ -422,7 +416,7 @@ def n_by_type_from_supports(rank: Rank, t: SupportType) -> int:
     return embeddings_per_support(rank.k, t) * oracle_supports(rank, t)
 
 
-def _census(region: _Region) -> tuple:
+def _census(rank: Rank, region: _Region) -> CensusReport:
     """Sum N over every length-4 multiset on the region, bucketed.
 
     N(pi) = max(e - 1, 0), where e counts the length-3 sub-multisets of pi
@@ -436,8 +430,6 @@ def _census(region: _Region) -> tuple:
     found is classified once, and its N mass goes to its type, or to
     unclassified when no type applies.  A fourth power embeds one leading
     term, so supports of one point are never visited either.
-
-    Returns (total, unclassified, by_type, by_degree, by_shape, sigma).
     """
     comp, degrees, classify = region.comp, region.degrees, region.classify
     by_shape: dict[tuple[int, ...], int] = {s: 0 for s in all_shapes()}
@@ -493,8 +485,15 @@ def _census(region: _Region) -> tuple:
     by_degree = {d: 0 for d in range(-4, -13, -1)}
     for shape, v in by_shape.items():
         by_degree[sum(shape)] += v
-    total = unclassified + sum(by_type.values())
-    return total, unclassified, by_type, by_degree, by_shape, sigma
+    return CensusReport(
+        rank=rank,
+        sigma=sigma,
+        n_by_type=by_type,
+        n_by_degree=by_degree,
+        n_by_shape=by_shape,
+        total=unclassified + sum(by_type.values()),
+        unclassified=unclassified,
+    )
 
 
 def _indices(mask: int) -> Iterator[int]:
@@ -514,18 +513,8 @@ def oracle_full(rank: Rank, cap: int = 4) -> CensusReport:
     length-4 multisets.  That number still grows like n^8, so ranks above
     the cap are refused.
     """
-    rank.validate()
     if rank.k != 2:
         raise ValueError(f"the full oracle walks length-4 multisets; needs k=2, got k={rank.k}")
     if rank.n > cap:
         raise ValueError(f"oracle_full capped: n={rank.n} exceeds cap {cap}")
-    total, unclassified, by_type, by_degree, by_shape, sigma = _census(_region(rank, False))
-    return CensusReport(
-        rank=rank,
-        sigma=sigma,
-        n_by_type=by_type,
-        n_by_degree=by_degree,
-        n_by_shape=by_shape,
-        total=total,
-        unclassified=unclassified,
-    )
+    return _census(rank, _region(rank.n, False))

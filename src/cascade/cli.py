@@ -1,5 +1,12 @@
 """Command-line front end: verification suites, count tables, array renderings.
 
+verify (--n INT|A..B, --skip-full-oracle) checks every identity per rank,
+count (--n INT, --types-only) emits one rank's census table and print-array
+(--n INT, --coords) renders the triangles; verify and count also take
+--format json|csv|text and --oracle-cap, and all three take --out.  main
+checks the parsed arguments once, each rank by constructing its Rank, and
+passes the argparse namespace to the command's handler.
+
 Every command runs in one process.  Output is fully deterministic for a
 fixed configuration: no timings, fixed key orders everywhere.  Exit codes
 follow CI conventions: 0 all checks pass, 1 an identity fails (a mismatch,
@@ -14,7 +21,6 @@ import io
 import json
 import re
 import sys
-from dataclasses import dataclass
 from functools import cache
 
 from . import census, closed_forms, geometry
@@ -22,20 +28,6 @@ from .census import SupportType, all_types, mirror
 from .geometry import Rank
 
 _RANGE_RE = re.compile(r"^(\d+)\.\.(\d+)$")
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation: which command, which ranks, how to emit."""
-
-    command: str
-    ns: tuple[int, ...]
-    fmt: str = "text"
-    oracle_cap: int = 4
-    types_only: bool = False
-    skip_full_oracle: bool = False
-    out: str | None = None
-    coords: bool = False
 
 
 def _parse_n(text: str) -> tuple[int, ...]:
@@ -145,16 +137,17 @@ class _Checks:
         return self.render_text()
 
 
-def cmd_verify(config: RunConfig) -> int:
-    """Run every identity check for each rank in the configured range."""
+def cmd_verify(args: argparse.Namespace) -> int:
+    """Run every identity check for each rank in the range."""
     checks = _Checks()
-    for n in config.ns:
-        _verify_rank(checks, Rank(n), config)
-    return _emit(checks.render(config.fmt), config.out) or (1 if checks.failures else 0)
+    cap = 0 if args.skip_full_oracle else args.oracle_cap
+    for rank in args.n:
+        _verify_rank(checks, rank, cap)
+    return _emit(checks.render(args.fmt), args.out) or (1 if checks.failures else 0)
 
 
-def _verify_rank(checks: _Checks, rank: Rank, config: RunConfig) -> None:
-    """Add the check rows of one rank.
+def _verify_rank(checks: _Checks, rank: Rank, cap: int) -> None:
+    """Add the check rows of one rank; the full census runs for n <= cap.
 
     A closed form raising ArithmeticError (an inexact division or a broken
     internal identity) ends the rank with one FAIL row of the running check
@@ -169,8 +162,8 @@ def _verify_rank(checks: _Checks, rank: Rank, config: RunConfig) -> None:
     check = "full-census"
     try:
         # Full-census comparison, affordable only below the cap.
-        if not config.skip_full_oracle and n <= config.oracle_cap:
-            report = census.oracle_full(rank, cap=config.oracle_cap)
+        if n <= cap:
+            report = census.oracle_full(rank, cap=cap)
             checks.add(n, check, "total", total_closed(), report.total)
             checks.add(n, check, "unclassified", 0, report.unclassified)
             for t in types:
@@ -237,16 +230,14 @@ def _verify_rank(checks: _Checks, rank: Rank, config: RunConfig) -> None:
         checks.add(n, check, "error", "no error", str(exc))
 
 
-def _count_payload(config: RunConfig, rank: Rank):
-    """Ordered (section, rows) pairs plus the total, or None on usage error."""
-    if config.types_only:
+def _count_payload(rank: Rank, types_only: bool, cap: int):
+    """Ordered (section, rows) pairs plus the total."""
+    if types_only:
         by_type = {
             t.key(): census.n_by_type_from_supports(rank, t) for t in all_types()
         }
         return [("byType", by_type)], sum(by_type.values())
-    if rank.n > config.oracle_cap:
-        return None
-    report = census.oracle_full(rank, cap=config.oracle_cap)
+    report = census.oracle_full(rank, cap=cap)
     by_type = {t.key(): report.n_by_type[t] for t in all_types()}
     by_degree = {str(d): report.n_by_degree[d] for d in range(-4, -13, -1)}
     by_shape = {_shape_key(s): report.n_by_shape[s] for s in _shape_order()}
@@ -256,25 +247,22 @@ def _count_payload(config: RunConfig, rank: Rank):
     )
 
 
-def cmd_count(config: RunConfig) -> int:
+def cmd_count(args: argparse.Namespace) -> int:
     """Emit the census table for a single rank."""
-    if len(config.ns) != 1:
-        return _usage_error("count takes a single --n value")
-    rank = Rank(config.ns[0])
-    payload = _count_payload(config, rank)
-    if payload is None:
+    (rank,) = args.n
+    if not args.types_only and rank.n > args.oracle_cap:
         return _usage_error(
-            f"n={rank.n} exceeds the full-oracle cap {config.oracle_cap}; "
+            f"n={rank.n} exceeds the full-oracle cap {args.oracle_cap}; "
             "use --types-only or raise --oracle-cap"
         )
-    sections, total = payload
-    if config.fmt == "json":
+    sections, total = _count_payload(rank, args.types_only, args.oracle_cap)
+    if args.fmt == "json":
         doc: dict = {"n": rank.n}
         for name, rows in sections:
             doc[name] = rows
         doc["total"] = total
         text = json.dumps(doc, indent=2) + "\n"
-    elif config.fmt == "csv":
+    elif args.fmt == "csv":
         lines = ["key,count"]
         for _, rows in sections:
             lines.extend(f"{key},{value}" for key, value in rows.items())
@@ -287,14 +275,12 @@ def cmd_count(config: RunConfig) -> int:
             lines.extend(f"  {key} {value}" for key, value in rows.items())
         lines.append(f"total {total}")
         text = "\n".join(lines) + "\n"
-    return _emit(text, config.out)
+    return _emit(text, args.out)
 
 
-def cmd_print_array(config: RunConfig) -> int:
+def cmd_print_array(args: argparse.Namespace) -> int:
     """Render the three root-labelled triangles, coordinates on request."""
-    if len(config.ns) != 1:
-        return _usage_error("print-array takes a single --n value")
-    rank = Rank(config.ns[0])
+    (rank,) = args.n
     n = rank.n
     blocks = []
     for d in (1, 2, 3):
@@ -308,7 +294,7 @@ def cmd_print_array(config: RunConfig) -> int:
             ]
             lines.append(" ".join(labels))
         blocks.append("\n".join(lines))
-    if config.coords:
+    if args.coords:
         lines = ["trapezoid"]
         for row in range(2 * n + 1, 0, -1):
             cells = []
@@ -317,24 +303,25 @@ def cmd_print_array(config: RunConfig) -> int:
                 cells.append(f"{p.d}:{p.local_row},{p.local_col}")
             lines.append(" ".join(cells))
         blocks.append("\n".join(lines))
-    return _emit("\n\n".join(blocks) + "\n", config.out)
+    return _emit("\n\n".join(blocks) + "\n", args.out)
 
 
-def _add_common(sub: argparse.ArgumentParser, *, coords: bool = False) -> None:
+def _add_command(commands, name: str, run, summary: str, *, report: bool = True):
+    """A subcommand with --n and --out, plus --format and --oracle-cap for
+    the commands whose report they shape."""
+    sub = commands.add_parser(name, help=summary)
+    sub.set_defaults(run=run)
     sub.add_argument(
         "--n", type=_parse_n, required=True, metavar="INT|A..B",
         help="rank, or inclusive range like 1..3",
     )
-    sub.add_argument(
-        "--format", choices=("json", "csv", "text"), default="text", dest="fmt"
-    )
-    sub.add_argument("--oracle-cap", type=int, default=4, dest="oracle_cap")
-    sub.add_argument("--out", default=None, help="write the report to a file")
-    if coords:
+    if report:
         sub.add_argument(
-            "--coords", action="store_true",
-            help="also print the trapezoid in strip coordinates",
+            "--format", choices=("json", "csv", "text"), default="text", dest="fmt"
         )
+        sub.add_argument("--oracle-cap", type=int, default=4, dest="oracle_cap")
+    sub.add_argument("--out", default=None, help="write the report to a file")
+    return sub
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -344,50 +331,39 @@ def main(argv: list[str] | None = None) -> int:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = commands.add_parser("verify", help="run every identity check")
-    _add_common(p_verify)
+    p_verify = _add_command(commands, "verify", cmd_verify, "run every identity check")
     p_verify.add_argument(
         "--skip-full-oracle", action="store_true", dest="skip_full_oracle",
         help="skip the exhaustive multiset walk even below the cap",
     )
 
-    p_count = commands.add_parser("count", help="emit the census table")
-    _add_common(p_count)
+    p_count = _add_command(commands, "count", cmd_count, "emit the census table")
     p_count.add_argument(
         "--types-only", action="store_true", dest="types_only",
         help="count by support walks only (scales past the full-oracle cap)",
     )
 
-    p_array = commands.add_parser(
-        "print-array", help="render the root-labelled triangles"
+    p_array = _add_command(
+        commands, "print-array", cmd_print_array,
+        "render the root-labelled triangles", report=False,
     )
-    _add_common(p_array, coords=True)
+    p_array.add_argument(
+        "--coords", action="store_true",
+        help="also print the trapezoid in strip coordinates",
+    )
 
     args = parser.parse_args(argv)
-
-    ns = args.n
-    if not ns:
+    if not args.n:
         return _usage_error("empty rank range")
-    if min(ns) < 1:
-        return _usage_error(f"rank must be >= 1, got {min(ns)}")
-    if args.oracle_cap < 1:
+    try:
+        args.n = tuple(map(Rank, args.n))
+    except ValueError as exc:
+        return _usage_error(str(exc))
+    if args.command != "print-array" and args.oracle_cap < 1:
         return _usage_error(f"oracle cap must be >= 1, got {args.oracle_cap}")
-
-    config = RunConfig(
-        command=args.command,
-        ns=ns,
-        fmt=args.fmt,
-        oracle_cap=args.oracle_cap,
-        types_only=getattr(args, "types_only", False),
-        skip_full_oracle=getattr(args, "skip_full_oracle", False),
-        out=args.out,
-        coords=getattr(args, "coords", False),
-    )
-    if config.command == "verify":
-        return cmd_verify(config)
-    if config.command == "count":
-        return cmd_count(config)
-    return cmd_print_array(config)
+    if args.command != "verify" and len(args.n) != 1:
+        return _usage_error(f"{args.command} takes a single --n value")
+    return args.run(args)
 
 
 if __name__ == "__main__":

@@ -163,7 +163,6 @@ def support_count_closed(rank: Rank, t) -> int:
     The sums are evaluated with their bounds taken literally, so parameters
     too large for the trapezoid yield empty ranges and count 0.
     """
-    rank.validate()
     n = rank.n
     if t.family == "A":
         return _sum_a(n, t.r)
@@ -204,7 +203,8 @@ def _exact_div(num: int, den: int, what: str) -> int:
 
 def n_by_type_closed(rank: Rank, t) -> int:
     """Evaluate the closed N polynomial for one of the thirteen types."""
-    rank.validate()
+    if rank.k != 2:
+        raise ValueError(f"the N polynomials are for level 2; needs k=2, got k={rank.k}")
     key = t.key()
     try:
         coeffs, den = _POLYS[key]
@@ -217,8 +217,9 @@ def n_by_type_closed(rank: Rank, t) -> int:
 
 
 def n_total_closed(rank: Rank) -> int:
-    """The grand total 7(10n-1)/4 * C(2n+6, 7)."""
-    rank.validate()
+    """The grand total 7(10n-1)/4 * C(2n+6, 7), for level 2."""
+    if rank.k != 2:
+        raise ValueError(f"the closed total is for level 2; needs k=2, got k={rank.k}")
     n = rank.n
     return _exact_div(
         7 * (10 * n - 1) * binomial(2 * n + 6, 7), 4, f"total at n={n}"
@@ -231,7 +232,6 @@ def weyl_dim(rank: Rank, lam: Sequence[int]) -> int:
     lam is given in epsilon coordinates, at most n entries, weakly decreasing
     and nonnegative; shorter tuples are padded with zeros.
     """
-    rank.validate()
     n = rank.n
     lam = tuple(lam)
     if len(lam) > n:
@@ -257,7 +257,6 @@ def weyl_dim(rank: Rank, lam: Sequence[int]) -> int:
 def dim_s_theta(rank: Rank, s: int) -> int:
     """Closed dimension C(2n+2s-1, 2s) of the module generated by s copies
     of the highest root."""
-    rank.validate()
     if s < 0:
         raise ValueError(f"s must be >= 0, got {s}")
     return binomial(2 * rank.n + 2 * s - 1, 2 * s)
@@ -266,7 +265,6 @@ def dim_s_theta(rank: Rank, s: int) -> int:
 def dim_4theta_minus_alpha(rank: Rank) -> int:
     """Closed dimension (2n+7)(n-1)/4 * C(2n+5, 6) of the weight (7, 1)
     irreducible."""
-    rank.validate()
     n = rank.n
     return _exact_div(
         (2 * n + 7) * (n - 1) * binomial(2 * n + 5, 6), 4, f"(7,1) at n={n}"
@@ -279,7 +277,6 @@ def dim_relation_space(rank: Rank) -> int:
     Computed twice: the product form, and the sum of its three irreducible
     constituents.  A mismatch means a transcribed dimension is wrong.
     """
-    rank.validate()
     n = rank.n
     product = 2 * n * binomial(2 * n + 6, 7)
     parts = (
@@ -292,6 +289,5 @@ def dim_relation_space(rank: Rank) -> int:
 
 def equivalence_identity(rank: Rank) -> bool:
     """Check 9 * dim(relation space) - 2 * dim(4 theta module) == N total."""
-    rank.validate()
     lhs = 9 * dim_relation_space(rank) - 2 * dim_s_theta(rank, 4)
     return lhs == n_total_closed(rank)

@@ -9,21 +9,25 @@ opens downward from a vertex.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import NamedTuple
 
 
-class Rank(NamedTuple):
-    """Rank n of the symplectic algebra sp_2n plus the level k (default 2)."""
+@dataclass(frozen=True, slots=True)
+class Rank:
+    """Rank n of the symplectic algebra sp_2n plus the level k (default 2).
+
+    Construction rejects n < 1 and k < 1, so every Rank is valid.
+    """
 
     n: int
     k: int = 2
 
-    def validate(self) -> "Rank":
+    def __post_init__(self) -> None:
         if self.n < 1:
-            raise ValueError(f"rank must be >= 1, got n={self.n}")
+            raise ValueError(f"rank must be >= 1, got {self.n}")
         if self.k < 1:
-            raise ValueError(f"level must be >= 1, got k={self.k}")
-        return self
+            raise ValueError(f"level must be >= 1, got {self.k}")
 
     @property
     def rows(self) -> int:

@@ -103,7 +103,7 @@ class TestClassifySupport:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_bitmask_twin_matches_point_classifier(self, n):
-        region = census._region(Rank(n), False)
+        region = census._region(n, False)
         pts = region.points
         for size in (1, 2, 3, 4):
             for ids in combinations(range(len(pts)), size):
@@ -111,7 +111,7 @@ class TestClassifySupport:
                 assert region.classify(ids) == expected
 
     def test_flipped_region_classifier_agrees_with_flipped_leq(self):
-        region = census._region(Rank(1), True)
+        region = census._region(1, True)
         pts = region.points
         for size in (2, 3):
             for ids in combinations(range(len(pts)), size):
@@ -221,17 +221,17 @@ def test_census_walk_matches_naive_reference_on_subsets(n, data):
         label="points",
     )
     region = census._Region(points, leq, lambda p: trapezoid_degree(rank, p))
-    total, unclassified, by_type, by_degree, by_shape, sigma = census._census(region)
+    report = census._census(rank, region)
     expected = _naive_census(rank, points)
-    assert (total, unclassified, by_type) == expected[:3]
-    assert {d: v for d, v in by_degree.items() if v} == expected[3]
-    assert {s: v for s, v in by_shape.items() if v} == expected[4]
-    assert sigma == expected[5]
+    assert (report.total, report.unclassified, report.n_by_type) == expected[:3]
+    assert {d: v for d, v in report.n_by_degree.items() if v} == expected[3]
+    assert {s: v for s, v in report.n_by_shape.items() if v} == expected[4]
+    assert report.sigma == expected[5]
 
 
 def _brute_support_count(rank: Rank, t: SupportType, flipped: bool = False) -> int:
     if flipped:
-        region = census._region(rank, True).points
+        region = census._region(rank.n, True).points
         order = census._flipped_leq
     else:
         region = trapezoid_points(rank)
@@ -283,7 +283,7 @@ class TestOracleSupports:
 @settings(max_examples=100, deadline=None)
 def test_chain_count_matches_classified_subsets(n, flipped, data, size):
     """The chain-count recursion against validating every candidate subset."""
-    region = census._region(Rank(n), flipped)
+    region = census._region(n, flipped)
     m = len(region.points)
     mask = data.draw(st.integers(min_value=0, max_value=(1 << m) - 1), label="mask")
     pts = [p for i, p in enumerate(region.points) if (mask >> i) & 1]

@@ -261,6 +261,16 @@ def test_k_flag_is_usage_error(capsys, command):
     assert "unrecognized arguments: --k 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "option", [("--format", "json"), ("--oracle-cap", "3")], ids=["format", "oracle-cap"]
+)
+def test_print_array_report_options_are_usage_errors(capsys, option):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["print-array", "--n", "1", *option])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "cascade.cli", "verify", "--n", "1"],

@@ -4,7 +4,12 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cascade.census import SupportType, all_types, oracle_supports
+from cascade.census import (
+    SupportType,
+    all_types,
+    n_by_type_from_supports,
+    oracle_supports,
+)
 from cascade.closed_forms import (
     binomial,
     dim_4theta_minus_alpha,
@@ -143,6 +148,19 @@ class TestPolynomials:
         assert n_total_closed(Rank(1)) == 126
         assert n_total_closed(Rank(2)) == 3990
         assert n_total_closed(Rank(9)) == 53905698
+
+    def test_by_type_rejects_other_levels(self):
+        # The walk is level-aware; the polynomials hold for k=2 only.
+        a2 = SupportType.a(2)
+        assert n_by_type_from_supports(Rank(2, 3), a2) == 580
+        with pytest.raises(ValueError, match="k=3"):
+            n_by_type_closed(Rank(2, 3), a2)
+
+    def test_total_rejects_other_levels(self):
+        with pytest.raises(ValueError, match="k=1"):
+            n_total_closed(Rank(2, 1))
+        with pytest.raises(ValueError, match="k=3"):
+            equivalence_identity(Rank(2, 3))
 
 
 class TestWeylDim:

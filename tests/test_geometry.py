@@ -19,12 +19,13 @@ from cascade.geometry import (
 
 
 def test_rank_validation():
-    Rank(1).validate()
-    Rank(10, 5).validate()
-    with pytest.raises(ValueError):
-        Rank(0).validate()
-    with pytest.raises(ValueError):
-        Rank(2, 0).validate()
+    assert (Rank(1).n, Rank(1).k) == (1, 2)
+    assert Rank(10, 5) == Rank(10, 5) != Rank(10)
+    assert hash(Rank(3, 2)) == hash(Rank(3))
+    with pytest.raises(ValueError, match="rank must be >= 1, got 0"):
+        Rank(0)
+    with pytest.raises(ValueError, match="level must be >= 1, got 0"):
+        Rank(2, 0)
 
 
 def test_trapezoid_point_counts():
