@@ -296,15 +296,8 @@ class _Region:
         return None
 
 
-_INTERNED: dict[tuple, SupportType] = {}
-
-
-def _intern(family: str, r: int, delta: str | None, s: int) -> SupportType:
-    key = (family, r, delta, s)
-    t = _INTERNED.get(key)
-    if t is None:
-        t = _INTERNED.setdefault(key, SupportType(family, r, delta, s))
-    return t
+# One shared instance per (family, r, delta, s) for the census hot path.
+_intern = cache(SupportType)
 
 
 def _flipped_leq(a: TrapezoidPoint, b: TrapezoidPoint) -> bool:
@@ -504,17 +497,16 @@ def _indices(mask: int) -> Iterator[int]:
         yield low.bit_length() - 1
 
 
-def oracle_full(rank: Rank, cap: int = 4) -> CensusReport:
+def oracle_full(rank: Rank) -> CensusReport:
     """Exhaustive census of N(pi) over every length-4 multiset on the trapezoid.
 
     One process walks the strictly increasing supports, the largest index
     of each taken from a bitmask, and visits only the supports that carry
     N > 0: 133 608 at n=4, where the trapezoid has about 6.0 million
-    length-4 multisets.  That number still grows like n^8, so ranks above
-    the cap are refused.
+    length-4 multisets.  That number still grows like n^8, so the command
+    line runs it only up to its --oracle-cap; any valid rank is accepted
+    here, and only the time grows.
     """
     if rank.k != 2:
         raise ValueError(f"the full oracle walks length-4 multisets; needs k=2, got k={rank.k}")
-    if rank.n > cap:
-        raise ValueError(f"oracle_full capped: n={rank.n} exceeds cap {cap}")
     return _census(rank, _region(rank.n, False))

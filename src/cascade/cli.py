@@ -1,11 +1,11 @@
 """Command-line front end: verification suites, count tables, array renderings.
 
-verify (--n INT|A..B, --skip-full-oracle) checks every identity per rank,
-count (--n INT, --types-only) emits one rank's census table and print-array
-(--n INT, --coords) renders the triangles; verify and count also take
---format json|csv|text and --oracle-cap, and all three take --out.  main
-checks the parsed arguments once, each rank by constructing its Rank, and
-passes the argparse namespace to the command's handler.
+verify (--n INT|A..B) checks every identity per rank, count (--n INT,
+--types-only) emits one rank's census table and print-array (--n INT,
+--coords) renders the triangles; verify and count also take --format
+json|csv|text and --oracle-cap N (full census up to rank N, 0 for none),
+and all three take --out.  main checks the parsed arguments once, each
+rank by constructing its Rank, and passes the namespace to its handler.
 
 Every command runs in one process.  Output is fully deterministic for a
 fixed configuration: no timings, fixed key orders everywhere.  Exit codes
@@ -140,9 +140,8 @@ class _Checks:
 def cmd_verify(args: argparse.Namespace) -> int:
     """Run every identity check for each rank in the range."""
     checks = _Checks()
-    cap = 0 if args.skip_full_oracle else args.oracle_cap
     for rank in args.n:
-        _verify_rank(checks, rank, cap)
+        _verify_rank(checks, rank, args.oracle_cap)
     return _emit(checks.render(args.fmt), args.out) or (1 if checks.failures else 0)
 
 
@@ -161,9 +160,9 @@ def _verify_rank(checks: _Checks, rank: Rank, cap: int) -> None:
     support_closed = cache(lambda t: closed_forms.support_count_closed(rank, t))
     check = "full-census"
     try:
-        # Full-census comparison, affordable only below the cap.
+        # Full-census comparison, affordable only up to the cap.
         if n <= cap:
-            report = census.oracle_full(rank, cap=cap)
+            report = census.oracle_full(rank)
             checks.add(n, check, "total", total_closed(), report.total)
             checks.add(n, check, "unclassified", 0, report.unclassified)
             for t in types:
@@ -230,16 +229,16 @@ def _verify_rank(checks: _Checks, rank: Rank, cap: int) -> None:
         checks.add(n, check, "error", "no error", str(exc))
 
 
-def _count_payload(rank: Rank, types_only: bool, cap: int):
+def _count_payload(rank: Rank, types_only: bool):
     """Ordered (section, rows) pairs plus the total."""
     if types_only:
         by_type = {
             t.key(): census.n_by_type_from_supports(rank, t) for t in all_types()
         }
         return [("byType", by_type)], sum(by_type.values())
-    report = census.oracle_full(rank, cap=cap)
+    report = census.oracle_full(rank)
     by_type = {t.key(): report.n_by_type[t] for t in all_types()}
-    by_degree = {str(d): report.n_by_degree[d] for d in range(-4, -13, -1)}
+    by_degree = {str(d): v for d, v in report.n_by_degree.items()}
     by_shape = {_shape_key(s): report.n_by_shape[s] for s in _shape_order()}
     return (
         [("byType", by_type), ("byDegree", by_degree), ("byShape", by_shape)],
@@ -255,7 +254,7 @@ def cmd_count(args: argparse.Namespace) -> int:
             f"n={rank.n} exceeds the full-oracle cap {args.oracle_cap}; "
             "use --types-only or raise --oracle-cap"
         )
-    sections, total = _count_payload(rank, args.types_only, args.oracle_cap)
+    sections, total = _count_payload(rank, args.types_only)
     if args.fmt == "json":
         doc: dict = {"n": rank.n}
         for name, rows in sections:
@@ -319,7 +318,10 @@ def _add_command(commands, name: str, run, summary: str, *, report: bool = True)
         sub.add_argument(
             "--format", choices=("json", "csv", "text"), default="text", dest="fmt"
         )
-        sub.add_argument("--oracle-cap", type=int, default=4, dest="oracle_cap")
+        sub.add_argument(
+            "--oracle-cap", type=int, default=4, metavar="N",
+            help="largest rank given the exhaustive census (0 = none)",
+        )
     sub.add_argument("--out", default=None, help="write the report to a file")
     return sub
 
@@ -331,11 +333,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = _add_command(commands, "verify", cmd_verify, "run every identity check")
-    p_verify.add_argument(
-        "--skip-full-oracle", action="store_true", dest="skip_full_oracle",
-        help="skip the exhaustive multiset walk even below the cap",
-    )
+    _add_command(commands, "verify", cmd_verify, "run every identity check")
 
     p_count = _add_command(commands, "count", cmd_count, "emit the census table")
     p_count.add_argument(
@@ -359,8 +357,8 @@ def main(argv: list[str] | None = None) -> int:
         args.n = tuple(map(Rank, args.n))
     except ValueError as exc:
         return _usage_error(str(exc))
-    if args.command != "print-array" and args.oracle_cap < 1:
-        return _usage_error(f"oracle cap must be >= 1, got {args.oracle_cap}")
+    if args.command != "print-array" and args.oracle_cap < 0:
+        return _usage_error(f"oracle cap must be >= 0, got {args.oracle_cap}")
     if args.command != "verify" and len(args.n) != 1:
         return _usage_error(f"{args.command} takes a single --n value")
     return args.run(args)

@@ -42,11 +42,11 @@ N12_TOTAL = 423955350
 
 @pytest.fixture(scope="module")
 def census_runs():
-    """Full-census reports for the ranks below the cap, with runtimes."""
+    """Full-census reports for n <= 4, the default cap, with runtimes."""
     reports, times = {}, {}
     for n in (1, 2, 3, 4):
         start = time.perf_counter()
-        reports[n] = oracle_full(Rank(n), cap=4)
+        reports[n] = oracle_full(Rank(n))
         times[n] = time.perf_counter() - start
     return reports, times
 

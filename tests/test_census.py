@@ -200,11 +200,6 @@ class TestOracleFull:
             assert report.n_by_degree[sum(shape)] >= value
 
     def test_cap_and_rank_guards(self):
-        with pytest.raises(ValueError, match="oracle_full capped"):
-            oracle_full(Rank(5))
-        oracle_full(Rank(2), cap=2)  # a rank at the cap is allowed
-        with pytest.raises(ValueError, match="oracle_full capped"):
-            oracle_full(Rank(3), cap=2)
         with pytest.raises(ValueError):
             oracle_full(Rank(0))
         with pytest.raises(ValueError, match="k=2"):
@@ -227,6 +222,23 @@ def test_census_walk_matches_naive_reference_on_subsets(n, data):
     assert {d: v for d, v in report.n_by_degree.items() if v} == expected[3]
     assert {s: v for s, v in report.n_by_shape.items() if v} == expected[4]
     assert report.sigma == expected[5]
+
+
+@given(st.integers(min_value=1, max_value=6), st.booleans(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_orders_are_dominance_orders(n, flipped, data):
+    """Both cone orders compare two coordinates: leq(a, b) holds exactly when
+    P_a <= P_b and Q_a <= Q_b, with (P, Q) = (-col, col + row) on the
+    trapezoid and (col, row - col) on the upside-down trapezoid."""
+    points = census._region(n, flipped).points
+    a = data.draw(st.sampled_from(points), label="a")
+    b = data.draw(st.sampled_from(points), label="b")
+    if flipped:
+        order, coords = census._flipped_leq, lambda p: (p.col, p.row - p.col)
+    else:
+        order, coords = leq, lambda p: (-p.col, p.col + p.row)
+    (pa, qa), (pb, qb) = coords(a), coords(b)
+    assert order(a, b) == (pa <= pb and qa <= qb)
 
 
 def _brute_support_count(rank: Rank, t: SupportType, flipped: bool = False) -> int:

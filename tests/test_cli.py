@@ -2,8 +2,10 @@
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,7 @@ from cascade.census import TYPE_KEYS, SupportType
 from cascade.closed_forms import n_by_type_closed
 from cascade.geometry import Rank
 
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
@@ -55,8 +58,8 @@ class TestVerify:
         # The (7,1) highest weight only exists from rank two up.
         assert sum("weyl 7+1" in line for line in lines) == 1
 
-    def test_skip_full_oracle(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--n", "1", "--skip-full-oracle")
+    def test_oracle_cap_zero_skips_full_census(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--n", "1", "--oracle-cap", "0")
         assert code == 0
         assert "full-census" not in out
         assert "ok support-count oracle-total 126" in out
@@ -129,7 +132,7 @@ class TestVerify:
 
         monkeypatch.setattr(closed_forms, "weyl_dim", faulty)
         code, out, _ = run_cli(
-            capsys, "verify", "--n", "1", "--skip-full-oracle", "--format", "csv"
+            capsys, "verify", "--n", "1", "--oracle-cap", "0", "--format", "csv"
         )
         assert code == 1
         assert out.splitlines()[-1] == (
@@ -188,6 +191,16 @@ class TestCount:
         )
         assert code == 0
         assert json.loads(out)["n"] == 5
+
+    def test_cap_zero(self, capsys):
+        # --types-only never reads the cap; the full table needs n <= cap.
+        code, out, _ = run_cli(capsys, "count", "--n", "1", "--types-only", "--oracle-cap", "0")
+        assert code == 0
+        assert out.splitlines()[-1] == "total 126"
+        code, out, err = run_cli(capsys, "count", "--n", "1", "--oracle-cap", "0")
+        assert code == 2
+        assert out == ""
+        assert "exceeds the full-oracle cap 0" in err
 
     def test_raising_cap_allows_larger_rank(self, capsys):
         code, out, _ = run_cli(
@@ -261,6 +274,22 @@ def test_k_flag_is_usage_error(capsys, command):
     assert "unrecognized arguments: --k 3" in capsys.readouterr().err
 
 
+def test_skip_full_oracle_flag_is_usage_error(capsys):
+    # --oracle-cap 0 is the one way to skip the exhaustive census.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--n", "1", "--skip-full-oracle"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --skip-full-oracle" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "count"])
+def test_negative_oracle_cap_rejected(capsys, command):
+    code, out, err = run_cli(capsys, command, "--n", "1", "--oracle-cap", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: oracle cap must be >= 0, got -1\n"
+
+
 @pytest.mark.parametrize(
     "option", [("--format", "json"), ("--oracle-cap", "3")], ids=["format", "oracle-cap"]
 )
@@ -269,6 +298,18 @@ def test_print_array_report_options_are_usage_errors(capsys, option):
         cli.main(["print-array", "--n", "1", *option])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "count", "print-array"])
+def test_readme_option_table_matches_parser(capsys, command):
+    """The README's option table of each command lists exactly its options."""
+    section = README.read_text().split(f"### `cascade {command}`\n", 1)[1].split("\n#", 1)[0]
+    documented = re.findall(r"^\| `(--[\w-]+)", section, re.M)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    parsed = re.findall(r"^  (?:-\w, )?(--[\w-]+)", capsys.readouterr().out, re.M)
+    assert sorted(documented) == sorted(set(parsed) - {"--help"})
 
 
 def test_module_entry_point():
