@@ -16,6 +16,7 @@ from cascade.geometry import Rank
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
