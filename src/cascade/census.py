@@ -8,12 +8,12 @@ computes N from the comparabilities of the support alone and classifies
 each support it finds.  The support oracle counts the supports of a
 single type on the cone order itself: each incomparable pair with the right
 row tag contributes the number of chains above it times the number below
-it, and chains are counted by a memoised recursion over the order, so no
-candidate is built and it scales to much larger ranks.  A third walk
-repeats the support count on the upside-down trapezoid, so the up-down
-symmetry of the counts can be checked on two genuinely different
-geometries.  The walks consult no closed form; only
-n_by_type_from_supports multiplies a walked support count by the
+it.  The cone order is a 2-D dominance order, so chains are counted in
+quadrants of a grid by suffix sums, no candidate is built and it scales to
+much larger ranks.  A third walk repeats the support count on the
+upside-down trapezoid, so the up-down symmetry of the counts can be checked
+on two genuinely different geometries.  The walks consult no closed form;
+only n_by_type_from_supports multiplies a walked support count by the
 per-support coefficient from closed_forms.
 """
 from __future__ import annotations
@@ -213,32 +213,37 @@ class CensusReport:
 
 
 def all_shapes() -> list[tuple[int, ...]]:
-    """The 15 possible shapes of a length-4 partition on the trapezoid."""
+    """The 15 possible shapes of a length-4 partition, in report order.
+
+    Lightest total degree first; within a degree, lexicographic on the
+    descending-absolute reading, so "2+2+1+1" precedes "3+1+1+1".
+    """
     return sorted(
-        set(combinations_with_replacement((-3, -2, -1), 4))
+        combinations_with_replacement((-3, -2, -1), 4),
+        key=lambda sh: (-sum(sh), tuple(-d for d in sh)),
     )
 
 
 class _Region:
     """Index tables for a finite cone-ordered point set.
 
-    down[i] and up[i] are bitmasks of the points strictly below and strictly
-    above point i in the order; comp[i] is their union.
+    down[i] is the bitmask of the points strictly below point i in the
+    order and comp[i] the bitmask of the points comparable with it.
     """
 
-    __slots__ = ("points", "rows", "degrees", "down", "up", "comp")
+    __slots__ = ("points", "rows", "degrees", "down", "comp")
 
     def __init__(
         self,
         points: Sequence[TrapezoidPoint],
         leq: LeqFn,
-        degree_fn: Callable[[TrapezoidPoint], int] | None = None,
+        degree_fn: Callable[[TrapezoidPoint], int],
     ):
         pts = list(points)
         m = len(pts)
         self.points = pts
         self.rows = [p.row for p in pts]
-        self.degrees = [degree_fn(p) for p in pts] if degree_fn else None
+        self.degrees = [degree_fn(p) for p in pts]
         down = [0] * m
         up = [0] * m
         for i, a in enumerate(pts):
@@ -251,7 +256,6 @@ class _Region:
                     down[i] |= 1 << j
                     up[j] |= 1 << i
         self.down = down
-        self.up = up
         self.comp = [d | u for d, u in zip(down, up)]
 
     def classify(self, ids: Sequence[int]) -> SupportType | None:
@@ -305,16 +309,16 @@ def _flipped_leq(a: TrapezoidPoint, b: TrapezoidPoint) -> bool:
     return a.row <= b.row and b.col - (b.row - a.row) <= a.col <= b.col
 
 
+def _flipped_points(n: int) -> list[TrapezoidPoint]:
+    """The upside-down trapezoid: row i holds columns 1 .. 2n+i-1."""
+    return [
+        TrapezoidPoint(i, j) for i in range(1, 2 * n + 2) for j in range(1, 2 * n + i)
+    ]
+
+
 @cache
-def _region(n: int, flipped: bool) -> _Region:
+def _region(n: int) -> _Region:
     """The index tables of the rank-n trapezoid, built once per process."""
-    if flipped:
-        points = [
-            TrapezoidPoint(i, j)
-            for i in range(1, 2 * n + 2)
-            for j in range(1, 2 * n + i)
-        ]
-        return _Region(points, _flipped_leq)
     rank = Rank(n)
     return _Region(
         geometry.trapezoid_points(rank),
@@ -323,82 +327,92 @@ def _region(n: int, flipped: bool) -> _Region:
     )
 
 
-def _chains(region: _Region, mask: int, size: int, memo: dict) -> int:
-    """Number of chains of the given size inside the masked point set.
+def _quadrant_chains(
+    coords: Sequence[tuple[int, int]], size: int
+) -> dict[tuple[int, int], int]:
+    """Chains of the given size in every upper quadrant of a dominance order.
 
-    Every chain is counted once, from its top point i, so
-    chains(mask, r) = sum over i in mask of chains(down[i] & mask, r - 1):
-    chain counting in the incidence algebra of the order.  Results for
-    size >= 2 are memoised on (mask, size) in the caller's memo.
+    The points are distinct (x, y) pairs ordered by a <= b exactly when
+    x_a <= x_b and y_a <= y_b.  The result maps every corner (X, Y) of the
+    bounding grid to the number of chains inside {x >= X, y >= Y}.  A chain
+    lies there exactly when its lowest point does, so each step counts the
+    chains one point longer by their lowest point p: the chains in p's
+    quadrant that do not already start at p.  2-D suffix sums of those
+    counts give the next quadrant table.
     """
-    if size == 0:
-        return 1
-    if size == 1:
-        return mask.bit_count()
-    key = (mask, size)
-    count = memo.get(key)
-    if count is None:
-        down = region.down
-        count = 0
-        m = mask
-        while m:
-            low = m & -m
-            m ^= low
-            count += _chains(region, down[low.bit_length() - 1] & mask, size - 1, memo)
-        memo[key] = count
-    return count
+    xs = range(min(x for x, _ in coords), max(x for x, _ in coords) + 1)
+    ys = range(min(y for _, y in coords), max(y for _, y in coords) + 1)
+    quadrant = {(x, y): 1 for x in xs for y in ys}  # the empty chain
+    ends = dict.fromkeys(coords, 0)
+    for _ in range(size):
+        ends = {p: quadrant[p] - ends[p] for p in coords}
+        quadrant = {}
+        for x in reversed(xs):
+            column = 0
+            for y in reversed(ys):
+                column += ends.get((x, y), 0)
+                quadrant[x, y] = column + quadrant.get((x + 1, y), 0)
+    return quadrant
 
 
-def _count_supports(region: _Region, t: SupportType) -> int:
-    """Count the supports of type t in the region as sets.
+def _count_supports(coords: Sequence[tuple[int, int]], t: SupportType) -> int:
+    """Count the supports of type t among points of a dominance order.
 
     A(r) is a chain of r points.  A B, C or D support is one incomparable
-    pair b < c with the row tag of t, a chain of t's upper size inside the
-    common up-set of b and c and a chain of its lower size inside their
-    common down-set; transitivity makes every such set a support of type t,
-    and its incomparable pair is unique, so each support is counted once.
+    pair with the row tag of t, a chain of t's upper size above both and a
+    chain of its lower size below both (B has an empty lower chain, C an
+    empty upper one); transitivity makes every such set a support of type
+    t, and its incomparable pair is unique, so each support is counted
+    once.  An incomparable pair has x_b < x_c and y_c < y_b; the points
+    above both dominate the corner (x_c, y_b) and the points below both
+    are dominated by (x_b, y_c).  For each column pair a sweep up the y
+    axis sums the lower chains of the c points passed, so the work is
+    O(columns^2 * rows).  Since x + y is the row, the pair shares a row
+    exactly when y_c = x_b + y_b - x_c.
     """
-    memo: dict[tuple[int, int], int] = {}
-    m = len(region.points)
+    lowest = (min(x for x, _ in coords), min(y for _, y in coords))
     if t.family == "A":
-        return _chains(region, (1 << m) - 1, t.r, memo)
+        return _quadrant_chains(coords, t.r)[lowest]
     above = t.r if t.family in ("B", "D") else 0
     below = t.s if t.family == "D" else (t.r if t.family == "C" else 0)
-    same = t.delta == SAME_ROW
-    comp, up, down, rows = region.comp, region.up, region.down, region.rows
-    row_masks: dict[int, int] = {}
-    for i, row in enumerate(rows):
-        row_masks[row] = row_masks.get(row, 0) | (1 << i)
-    count = 0
-    for b in range(m):
-        row_mask = row_masks[rows[b]]
-        partners = ~comp[b] & ((1 << m) - (2 << b))  # incomparable, index > b
-        partners &= row_mask if same else ~row_mask
-        ub, db = up[b], down[b]
-        while partners:
-            low = partners & -partners
-            partners ^= low
-            c = low.bit_length() - 1
-            count += _chains(region, ub & up[c], above, memo) * _chains(
-                region, db & down[c], below, memo
-            )
-    return count
+    up = _quadrant_chains(coords, above)
+    # Chains below (X, Y) are the chains above (-X, -Y) in the negated order.
+    down = _quadrant_chains([(-x, -y) for x, y in coords], below)
+    points = set(coords)
+    xs = sorted({x for x, _ in coords})
+    ys = range(lowest[1], max(y for _, y in coords) + 1)
+    total = same = 0
+    for i, xb in enumerate(xs):
+        for xc in xs[i + 1 :]:
+            passed = 0  # lower chains of the c points with y_c < y
+            for y in ys:
+                if (xb, y) in points:
+                    total += up[xc, y] * passed
+                    yc = xb + y - xc
+                    if (xc, yc) in points:
+                        same += up[xc, y] * down[-xb, -yc]
+                if (xc, y) in points:
+                    passed += down[-xb, -y]
+    return same if t.delta == SAME_ROW else total - same
 
 
 def oracle_supports(rank: Rank, t: SupportType) -> int:
     """Count supports of type t in the trapezoid by a walk on the order.
 
-    Supports are counted by a memoised chain-count recursion over the cone
-    order (incomparable pair first, chains above and below it), without
-    consulting any closed formula.  Structurally impossible types simply
-    count 0.
+    The cone order is the dominance order of (-col, col + row), so chains
+    above and below each incomparable pair are read off quadrant tables of
+    chain counts, without consulting any closed formula.  Structurally
+    impossible types simply count 0.
     """
-    return _count_supports(_region(rank.n, False), t)
+    points = geometry.trapezoid_points(rank)
+    return _count_supports([(-p.col, p.col + p.row) for p in points], t)
 
 
 def oracle_flipped(rank: Rank, t: SupportType) -> int:
-    """Same chain-count walk on the upside-down trapezoid (long base up)."""
-    return _count_supports(_region(rank.n, True), t)
+    """Same walk on the upside-down trapezoid (long base up), whose order is
+    the dominance order of (col, row - col)."""
+    points = _flipped_points(rank.n)
+    return _count_supports([(p.col, p.row - p.col) for p in points], t)
 
 
 def n_by_type_from_supports(rank: Rank, t: SupportType) -> int:
@@ -509,4 +523,4 @@ def oracle_full(rank: Rank) -> CensusReport:
     """
     if rank.k != 2:
         raise ValueError(f"the full oracle walks length-4 multisets; needs k=2, got k={rank.k}")
-    return _census(rank, _region(rank.n, False))
+    return _census(rank, _region(rank.n))

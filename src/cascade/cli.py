@@ -64,14 +64,6 @@ def _shape_key(shape: tuple[int, ...]) -> str:
     return "+".join(str(-d) for d in sorted(shape))
 
 
-def _shape_order() -> list[tuple[int, ...]]:
-    # Lightest total degree first; within a degree, lexicographic on the
-    # descending-absolute reading, so "2+2+1+1" precedes "3+1+1+1".
-    return sorted(
-        census.all_shapes(), key=lambda sh: (-sum(sh), tuple(-d for d in sorted(sh)))
-    )
-
-
 class _Checks:
     """Accumulates verification rows and renders them in any format."""
 
@@ -239,7 +231,7 @@ def _count_payload(rank: Rank, types_only: bool):
     report = census.oracle_full(rank)
     by_type = {t.key(): report.n_by_type[t] for t in all_types()}
     by_degree = {str(d): v for d, v in report.n_by_degree.items()}
-    by_shape = {_shape_key(s): report.n_by_shape[s] for s in _shape_order()}
+    by_shape = {_shape_key(s): v for s, v in report.n_by_shape.items()}
     return (
         [("byType", by_type), ("byDegree", by_degree), ("byShape", by_shape)],
         report.total,

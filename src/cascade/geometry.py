@@ -29,16 +29,6 @@ class Rank:
         if self.k < 1:
             raise ValueError(f"level must be >= 1, got {self.k}")
 
-    @property
-    def rows(self) -> int:
-        """Number of trapezoid rows, 2n+1."""
-        return 2 * self.n + 1
-
-    @property
-    def triangle_size(self) -> int:
-        """Points per triangle: n(2n+1), the dimension of sp_2n."""
-        return self.n * (2 * self.n + 1)
-
 
 class TrapezoidPoint(NamedTuple):
     """Position in the three-triangle trapezoid.

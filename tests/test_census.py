@@ -103,7 +103,7 @@ class TestClassifySupport:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_bitmask_twin_matches_point_classifier(self, n):
-        region = census._region(n, False)
+        region = census._region(n)
         pts = region.points
         for size in (1, 2, 3, 4):
             for ids in combinations(range(len(pts)), size):
@@ -111,7 +111,7 @@ class TestClassifySupport:
                 assert region.classify(ids) == expected
 
     def test_flipped_region_classifier_agrees_with_flipped_leq(self):
-        region = census._region(1, True)
+        region = census._Region(census._flipped_points(1), census._flipped_leq, lambda p: 0)
         pts = region.points
         for size in (2, 3):
             for ids in combinations(range(len(pts)), size):
@@ -224,33 +224,31 @@ def test_census_walk_matches_naive_reference_on_subsets(n, data):
     assert report.sigma == expected[5]
 
 
+def _points_order_coords(n: int, flipped: bool):
+    """The points, the cone order and the dominance coordinates of a region."""
+    if flipped:
+        return census._flipped_points(n), census._flipped_leq, lambda p: (p.col, p.row - p.col)
+    return trapezoid_points(Rank(n)), leq, lambda p: (-p.col, p.col + p.row)
+
+
 @given(st.integers(min_value=1, max_value=6), st.booleans(), st.data())
 @settings(max_examples=200, deadline=None)
 def test_orders_are_dominance_orders(n, flipped, data):
     """Both cone orders compare two coordinates: leq(a, b) holds exactly when
     P_a <= P_b and Q_a <= Q_b, with (P, Q) = (-col, col + row) on the
     trapezoid and (col, row - col) on the upside-down trapezoid."""
-    points = census._region(n, flipped).points
+    points, order, coords = _points_order_coords(n, flipped)
     a = data.draw(st.sampled_from(points), label="a")
     b = data.draw(st.sampled_from(points), label="b")
-    if flipped:
-        order, coords = census._flipped_leq, lambda p: (p.col, p.row - p.col)
-    else:
-        order, coords = leq, lambda p: (-p.col, p.col + p.row)
     (pa, qa), (pb, qb) = coords(a), coords(b)
     assert order(a, b) == (pa <= pb and qa <= qb)
 
 
 def _brute_support_count(rank: Rank, t: SupportType, flipped: bool = False) -> int:
-    if flipped:
-        region = census._region(rank.n, True).points
-        order = census._flipped_leq
-    else:
-        region = trapezoid_points(rank)
-        order = leq
+    points, order, _ = _points_order_coords(rank.n, flipped)
     return sum(
         1
-        for subset in combinations(region, t.size)
+        for subset in combinations(points, t.size)
         if classify_support(subset, leq=order) == t
     )
 
@@ -274,10 +272,11 @@ class TestOracleSupports:
                   SupportType.d(2, "|", 1), SupportType.d(1, "||", 2)):
             assert oracle_supports(rank, t) == _brute_support_count(rank, t)
 
-    def test_sigma_from_full_oracle_agrees(self):
-        report = oracle_full(Rank(2))
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_sigma_from_full_oracle_agrees(self, n):
+        report = oracle_full(Rank(n))
         for t in all_types():
-            assert report.sigma[t] == oracle_supports(Rank(2), t)
+            assert report.sigma[t] == oracle_supports(Rank(n), t)
 
     def test_n_by_type_from_supports_examples(self):
         rank = Rank(1)
@@ -289,28 +288,33 @@ class TestOracleSupports:
 @given(
     st.integers(min_value=1, max_value=2),
     st.booleans(),
+    st.sampled_from([*all_types(), SupportType.a(5), SupportType.d(2, "|", 1)]),
     st.data(),
-    st.integers(min_value=0, max_value=4),
 )
 @settings(max_examples=100, deadline=None)
-def test_chain_count_matches_classified_subsets(n, flipped, data, size):
-    """The chain-count recursion against validating every candidate subset."""
-    region = census._region(n, flipped)
-    m = len(region.points)
-    mask = data.draw(st.integers(min_value=0, max_value=(1 << m) - 1), label="mask")
-    pts = [p for i, p in enumerate(region.points) if (mask >> i) & 1]
-    if size == 0:
-        expected = 1
-    elif size == 1:
-        expected = len(pts)
-    else:
-        order = census._flipped_leq if flipped else leq
-        expected = sum(
-            1
-            for subset in combinations(pts, size)
-            if classify_support(subset, leq=order) == SupportType.a(size)
-        )
-    assert census._chains(region, mask, size, {}) == expected
+def test_support_count_matches_classified_subsets(n, flipped, t, data):
+    """The grid walk on a random point subset against classifying every
+    candidate subset under the cone order."""
+    points, order, coords = _points_order_coords(n, flipped)
+    subset = data.draw(
+        st.lists(st.sampled_from(points), unique=True, min_size=1, max_size=12),
+        label="subset",
+    )
+    expected = sum(
+        1
+        for candidate in combinations(subset, t.size)
+        if classify_support(candidate, leq=order) == t
+    )
+    assert census._count_supports([coords(p) for p in subset], t) == expected
+
+
+def test_walks_build_no_region():
+    """The support and flipped walks never build the O(m^2) bitmask tables."""
+    census._region.cache_clear()
+    for t in all_types():
+        oracle_supports(Rank(3), t)
+        oracle_flipped(Rank(3), t)
+    assert census._region.cache_info().currsize == 0
 
 
 class TestOracleFlipped:
