@@ -2,19 +2,20 @@
 
 Two oracles ground the library.  The full oracle sums N(pi) over every
 length-4 multiset on the trapezoid in one process and buckets it by support
-type, degree and shape.  It walks strictly increasing supports with the
-largest index of each taken from a bitmask of the points that keep N > 0,
-computes N from the comparabilities of the support alone and classifies
-each support it finds.  The support oracle counts the supports of a
-single type on the cone order itself: each incomparable pair with the right
-row tag contributes the number of chains above it times the number below
-it.  The cone order is a 2-D dominance order, so chains are counted in
-quadrants of a grid by suffix sums, no candidate is built and it scales to
-much larger ranks.  A third walk repeats the support count on the
-upside-down trapezoid, so the up-down symmetry of the counts can be checked
-on two genuinely different geometries.  The walks consult no closed form;
-only n_by_type_from_supports multiplies a walked support count by the
-per-support coefficient from closed_forms.
+type, degree and shape.  It walks the triples of points with at most one
+incomparable pair and counts the fourth point of each support by popcounts
+of bitmasks, split by degree, by the side of the incomparable pair and by
+row, so no support of four points is visited or classified on its own.
+The support oracle counts the supports of a single type on the cone order
+itself: each incomparable pair with the right row tag contributes the
+number of chains above it times the number below it.  The cone order is a
+2-D dominance order, so chains are counted in quadrants of a grid by suffix
+sums, no candidate is built and it scales to much larger ranks.  A third
+walk repeats the support count on the upside-down trapezoid, so the up-down
+symmetry of the counts can be checked on two genuinely different
+geometries.  The walks consult no closed form; only n_by_type_from_supports
+multiplies a walked support count by the per-support coefficient from
+closed_forms.
 """
 from __future__ import annotations
 
@@ -182,14 +183,16 @@ def classify_support(
             s += 1
         else:
             return None
-    delta = SAME_ROW if b.row == c.row else DIFF_ROW
+    return _pair_type(r, SAME_ROW if b.row == c.row else DIFF_ROW, s)
+
+
+def _pair_type(r: int, delta: str, s: int) -> SupportType | None:
+    """The type of an incomparable pair with r points above both and s below."""
     if r and s:
         return SupportType.d(r, delta, s)
     if r:
         return SupportType.b(r, delta)
-    if s:
-        return SupportType.c(delta, s)
-    return None
+    return SupportType.c(delta, s) if s else None
 
 
 @dataclass
@@ -231,7 +234,7 @@ class _Region:
     order and comp[i] the bitmask of the points comparable with it.
     """
 
-    __slots__ = ("points", "rows", "degrees", "down", "comp")
+    __slots__ = ("rows", "degrees", "down", "comp")
 
     def __init__(
         self,
@@ -241,7 +244,6 @@ class _Region:
     ):
         pts = list(points)
         m = len(pts)
-        self.points = pts
         self.rows = [p.row for p in pts]
         self.degrees = [degree_fn(p) for p in pts]
         down = [0] * m
@@ -257,51 +259,6 @@ class _Region:
                     up[j] |= 1 << i
         self.down = down
         self.comp = [d | u for d, u in zip(down, up)]
-
-    def classify(self, ids: Sequence[int]) -> SupportType | None:
-        """Bitmask twin of classify_support, on point indices."""
-        comp = self.comp
-        npairs = 0
-        bi = ci = -1
-        size = len(ids)
-        for x in range(size):
-            ix = ids[x]
-            cx = comp[ix]
-            for y in range(x + 1, size):
-                iy = ids[y]
-                if not (cx >> iy) & 1:
-                    npairs += 1
-                    if npairs == 2:
-                        return None
-                    bi, ci = ix, iy
-        if npairs == 0:
-            return _intern("A", size, None, 0) if size >= 2 else None
-        down = self.down
-        db, dc = down[bi], down[ci]
-        r = s = 0
-        for ix in ids:
-            if ix == bi or ix == ci:
-                continue
-            dx = down[ix]
-            if (dx >> bi) & 1 and (dx >> ci) & 1:
-                r += 1
-            elif (db >> ix) & 1 and (dc >> ix) & 1:
-                s += 1
-            else:
-                return None
-        rows = self.rows
-        delta = SAME_ROW if rows[bi] == rows[ci] else DIFF_ROW
-        if r and s:
-            return _intern("D", r, delta, s)
-        if r:
-            return _intern("B", r, delta, 0)
-        if s:
-            return _intern("C", s, delta, 0)
-        return None
-
-
-# One shared instance per (family, r, delta, s) for the census hot path.
-_intern = cache(SupportType)
 
 
 def _flipped_leq(a: TrapezoidPoint, b: TrapezoidPoint) -> bool:
@@ -427,74 +384,114 @@ def _census(rank: Rank, region: _Region) -> CensusReport:
     """Sum N over every length-4 multiset on the region, bucketed.
 
     N(pi) = max(e - 1, 0), where e counts the length-3 sub-multisets of pi
-    whose support is a chain, so it follows from the multiplicity pattern and
-    the pairwise comparabilities of the support alone.  Supports are walked
-    as strictly increasing index tuples.  e >= 2 needs a comparable pair
-    (size 2), at least two comparable pairs of three (size 3) or five of six
-    (size 4), so for fixed smaller indices the largest index runs over a
-    bitmask of comp masks and the tail of indices above the one before it;
-    every support left out has N = 0 on all its multisets.  Each support
-    found is classified once, and its N mass goes to its type, or to
-    unclassified when no type applies.  A fourth power embeds one leading
-    term, so supports of one point are never visited either.
+    whose support is a chain.  e >= 2 needs a support with at most one
+    incomparable pair: a comparable pair carries N = 1 on each of its three
+    patterns, a chain of three N = 2 on each, a chain of four N = 3, and
+    three or four points around one incomparable pair N = 1 on the pattern
+    that keeps the pair simple.  The walk takes each such triple i < j < k
+    and counts its fourth points l > k by popcounts of the tail mask, split
+    by the degree of l, by whether l lies above or below both members of
+    the incomparable pair and by whether the pair shares a row; pairs are
+    popcounts per i.  Mass goes under (type, degrees of the multiset), or
+    under None when no type applies, and is folded into the buckets once.
     """
-    comp, degrees, classify = region.comp, region.degrees, region.classify
-    by_shape: dict[tuple[int, ...], int] = {s: 0 for s in all_shapes()}
-    # [N mass, supports] per type; classify returns interned types, and None
-    # collects the mass outside every type.
-    by_tag: dict[SupportType | None, list[int]] = {}
+    comp, down, rows, degrees = region.comp, region.down, region.rows, region.degrees
+    up = [c & ~d for c, d in zip(comp, down)]
+    levels: dict[int, int] = {}  # degree -> mask of the points of that degree
+    row_mask: dict[int, int] = {}
+    for x, (d, row) in enumerate(zip(degrees, rows)):
+        levels[d] = levels.get(d, 0) | 1 << x
+        row_mask[row] = row_mask.get(row, 0) | 1 << x
+    # Types go by their report keys, which hash fast; None is no type.
+    mass: dict[tuple, int] = {}  # (key, degrees of the multiset) -> N
+    supports: dict[str | None, int] = {}
+    pair_key = {  # (points above the pair, row tag, points below) -> key
+        (r, delta, s): _pair_type(r, delta, s).key()
+        for r in range(3) for s in range(3 - r) if r or s for delta in (SAME_ROW, DIFF_ROW)
+    }
 
-    def record(support: tuple[int, ...], multisets: tuple) -> None:
-        # multisets: (e - 1, point indices with multiplicity) per pattern.
-        mass = 0
-        for n_pi, ids in multisets:
-            if n_pi > 0:
-                mass += n_pi
-                by_shape[tuple(sorted([degrees[x] for x in ids]))] += n_pi
-        tag = classify(support)
-        acc = by_tag.get(tag)
-        if acc is None:
-            by_tag[tag] = [mass, 1]
-        else:
-            acc[0] += mass
-            acc[1] += 1
+    def add(tag, count, multisets):
+        supports[tag] = supports.get(tag, 0) + count
+        for n_pi, degs in multisets:
+            mass[tag, degs] = mass.get((tag, degs), 0) + n_pi * count
+
+    def fourth(tag, mask, n_pi):
+        # The supports {i, j, k, l} of this triple, l in mask, by l's degree.
+        if mask:
+            for d, level in levels.items():
+                count = (mask & level).bit_count()
+                if count:
+                    supports[tag] = supports.get(tag, 0) + count
+                    key = (tag, (di, dj, dk, d))
+                    mass[key] = mass.get(key, 0) + n_pi * count
 
     for i in range(len(comp)):
-        ci = comp[i]
-        # A comparable pair: each of its three patterns has e = 2, so N = 1.
-        for l in _indices(ci & -(2 << i)):
-            record((i, l), ((1, (i, i, i, l)), (1, (i, i, l, l)), (1, (i, l, l, l))))
+        ci, di = comp[i], degrees[i]
+        for d, level in levels.items():
+            count = (ci & level & -(2 << i)).bit_count()
+            if count:
+                add("A2", count, ((1, (di, di, di, d)), (1, (di, di, d, d)),
+                                  (1, (di, d, d, d))))
         for j in range(i + 1, len(comp)):
-            cj = comp[j]
+            cj, dj = comp[j], degrees[j]
             cij = (ci >> j) & 1
-            # At most one of the pairs ij, ik, jk may be incomparable.
             for k in _indices((ci | cj if cij else ci & cj) & -(2 << j)):
-                ck = comp[k]
-                cik, cjk = (ci >> k) & 1, (cj >> k) & 1
-                cijk = cij & cik & cjk
-                record((i, j, k), (
-                    (cij + cik + cijk - 1, (i, i, j, k)),
-                    (cij + cjk + cijk - 1, (i, j, j, k)),
-                    (cik + cjk + cijk - 1, (i, j, k, k)),
-                ))
-                # At most one of the six pairs may be incomparable.
-                tail = (ci & cj | ci & ck | cj & ck) if cijk else ci & cj & ck
-                for l in _indices(tail & -(2 << k)):
-                    cil, cjl, ckl = (ci >> l) & 1, (cj >> l) & 1, (ck >> l) & 1
-                    e = cijk + (cij & cil & cjl) + (cik & cil & ckl) + (cjk & cjl & ckl)
-                    record((i, j, k, l), ((e - 1, (i, j, k, l)),))
-    unclassified = by_tag.pop(None, [0, 0])[0]
-    by_type = {t: 0 for t in all_types()}
-    sigma = {t: 0 for t in all_types()}
-    for tag, (mass, supports) in by_tag.items():
-        by_type[tag] = by_type.get(tag, 0) + mass
-        sigma[tag] = sigma.get(tag, 0) + supports
-    by_degree = {d: 0 for d in range(-4, -13, -1)}
+                ck, dk = comp[k], degrees[k]
+                tail = -(2 << k)
+                if cij and (ck >> i) & 1 and (ck >> j) & 1:
+                    add("A3", 1, ((2, (di, di, dj, dk)), (2, (di, dj, dj, dk)),
+                                  (2, (di, dj, dk, dk))))
+                    fourth("A4", ci & cj & ck & tail, 3)
+                    # l incomparable with x alone: y above x needs l below y,
+                    # y below x needs l above y, and the same for z.
+                    for x, y, z in ((i, j, k), (j, i, k), (k, i, j)):
+                        lone = ~comp[x] & comp[y] & comp[z] & tail
+                        if not lone:
+                            continue
+                        y_above, z_above = (down[y] >> x) & 1, (down[z] >> x) & 1
+                        fit = lone & (down[y] if y_above else up[y])
+                        fit &= down[z] if z_above else up[z]
+                        same = fit & row_mask[rows[x]]
+                        r = y_above + z_above
+                        fourth(pair_key[r, SAME_ROW, 2 - r], same, 1)
+                        fourth(pair_key[r, DIFF_ROW, 2 - r], fit ^ same, 1)
+                        fourth(None, lone ^ fit, 1)
+                    continue
+                # One incomparable pair b, c; x is the third point.
+                if not cij:
+                    b, c, x = i, j, k
+                elif not (ck >> i) & 1:
+                    b, c, x = i, k, j
+                else:
+                    b, c, x = j, k, i
+                delta = SAME_ROW if rows[b] == rows[c] else DIFF_ROW
+                r = (down[x] >> b) & (down[x] >> c) & 1
+                s = (down[b] >> x) & (down[c] >> x) & 1
+                tag = pair_key.get((r, delta, s))
+                add(tag, 1, ((1, (degrees[x], degrees[x], degrees[b], degrees[c])),))
+                rest = ci & cj & ck & tail
+                if tag:
+                    above, below = rest & up[b] & up[c], rest & down[b] & down[c]
+                    fourth(pair_key[r + 1, delta, s], above, 1)
+                    fourth(pair_key[r, delta, s + 1], below, 1)
+                    rest ^= above | below
+                fourth(None, rest, 1)
+    types = {t.key(): t for t in all_types()}
+    by_type = dict.fromkeys(types.values(), 0)
+    by_shape = dict.fromkeys(all_shapes(), 0)
+    unclassified = 0
+    for (tag, degs), n_pi in mass.items():
+        by_shape[tuple(sorted(degs))] += n_pi
+        if tag is None:
+            unclassified += n_pi
+        else:
+            by_type[types[tag]] += n_pi
+    by_degree = dict.fromkeys(range(-4, -13, -1), 0)
     for shape, v in by_shape.items():
         by_degree[sum(shape)] += v
     return CensusReport(
         rank=rank,
-        sigma=sigma,
+        sigma={t: supports.get(key, 0) for key, t in types.items()},
         n_by_type=by_type,
         n_by_degree=by_degree,
         n_by_shape=by_shape,
@@ -514,12 +511,12 @@ def _indices(mask: int) -> Iterator[int]:
 def oracle_full(rank: Rank) -> CensusReport:
     """Exhaustive census of N(pi) over every length-4 multiset on the trapezoid.
 
-    One process walks the strictly increasing supports, the largest index
-    of each taken from a bitmask, and visits only the supports that carry
-    N > 0: 133 608 at n=4, where the trapezoid has about 6.0 million
-    length-4 multisets.  That number still grows like n^8, so the command
-    line runs it only up to its --oracle-cap; any valid rank is accepted
-    here, and only the time grows.
+    One process walks the triples of points with at most one incomparable
+    pair, 29 016 at n=4, where the trapezoid has about 6.0 million length-4
+    multisets, and counts the fourth point of each support by popcounts.
+    The number of triples grows like n^6, so the command line runs it only
+    up to its --oracle-cap; any valid rank is accepted here, and only the
+    time grows.
     """
     if rank.k != 2:
         raise ValueError(f"the full oracle walks length-4 multisets; needs k=2, got k={rank.k}")

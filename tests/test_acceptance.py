@@ -42,9 +42,9 @@ N12_TOTAL = 423955350
 
 @pytest.fixture(scope="module")
 def census_runs():
-    """Full-census reports for n <= 4, the default cap, with runtimes."""
+    """Full-census reports for n <= 5, one past the default cap, with runtimes."""
     reports, times = {}, {}
-    for n in (1, 2, 3, 4):
+    for n in (1, 2, 3, 4, 5):
         start = time.perf_counter()
         reports[n] = oracle_full(Rank(n))
         times[n] = time.perf_counter() - start
@@ -76,7 +76,7 @@ def test_criterion_02_rank_nine_support_walk():
 
 def test_criterion_03_oracles_agree(census_runs):
     reports, times = census_runs
-    for n in (1, 2, 3, 4):
+    for n in (1, 2, 3, 4, 5):
         rank = Rank(n)
         report = reports[n]
         for t in all_types():
@@ -84,11 +84,14 @@ def test_criterion_03_oracles_agree(census_runs):
             assert report.n_by_type[t] == walked, (n, t.key())
         assert report.total == n_total_closed(rank)
     assert reports[3].total == 40194
-    assert times[3] < 5
-    assert times[4] < 30
+    assert reports[5].total == 980980
+    assert times[3] < 1
+    assert times[4] < 3
+    assert times[5] < 10
     print(
-        "\nPASS criterion 3: census and support walks agree for n=1..4 "
-        f"(n=3 total 40194 in {times[3]:.2f}s, n=4 in {times[4]:.2f}s)"
+        "\nPASS criterion 3: census and support walks agree for n=1..5 "
+        f"(n=3 total 40194 in {times[3]:.2f}s, n=4 in {times[4]:.2f}s, "
+        f"n=5 total 980980 in {times[5]:.2f}s)"
     )
 
 
@@ -164,9 +167,9 @@ def test_criterion_08_equivalence_identity():
 
 def test_criterion_09_classification_complete(census_runs):
     reports, _ = census_runs
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4, 5):
         assert reports[n].unclassified == 0, n
-    print("\nPASS criterion 9: every counted term classified, n=1,2,3")
+    print("\nPASS criterion 9: every counted term classified, n=1..5")
 
 
 def test_criterion_10_per_support_inventories():
@@ -230,3 +233,24 @@ def test_criterion_12_deterministic_output(tmp_path):
             renders[command, fmt] = outputs[0]
     assert b"pass" in renders["verify", "text"]
     print("\nPASS criterion 12: verify and count byte-identical across two runs, 3 formats")
+
+
+def test_criterion_13_relations_degree_by_degree(census_runs):
+    """The census total 9R - 2V, with R the relation space and V the 4theta
+    module, holds degree by degree and shape by shape."""
+    reports, _ = census_runs
+    for n in (1, 2, 3, 4, 5):
+        rank = Rank(n)
+        r, v = dim_relation_space(rank), dim_s_theta(rank, 4)
+        by_degree = {d: r - v if d in (-4, -12) else r for d in range(-4, -13, -1)}
+        assert reports[n].n_by_degree == by_degree, n
+        for shape, value in reports[n].n_by_shape.items():
+            if shape == (-3, -2, -2, -1):
+                assert value == v, (n, shape)
+            elif -3 in shape and -1 in shape:
+                assert value == 0, (n, shape)
+            elif len(set(shape)) == 1:
+                assert value == r - v, (n, shape)
+            else:
+                assert value == r, (n, shape)
+    print("\nPASS criterion 13: byDegree and byShape follow R and V, n=1..5")

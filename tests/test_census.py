@@ -2,7 +2,7 @@
 
 The full oracle is cross-checked here against a from-scratch reference that
 knows nothing about multiplicity patterns or bitmasks: it enumerates the
-same partitions and recomputes N(pi) through the embeddings machinery.
+same partitions and recomputes N(pi) from their sub-multisets and chains.
 """
 from __future__ import annotations
 
@@ -24,9 +24,8 @@ from cascade.census import (
     n_by_type_from_supports,
 )
 from cascade.geometry import Rank, TrapezoidPoint, leq, trapezoid_degree, trapezoid_points
-from cascade.leading import n_count
-from cascade.partitions import ColoredPartition, enumerate_partitions, shape_of
-from cascade.leading import embeddings
+from cascade.leading import embeddings, is_chain
+from cascade.partitions import enumerate_partitions, shape_of, sub_multisets
 
 P = TrapezoidPoint
 
@@ -101,30 +100,11 @@ class TestClassifySupport:
         # Two same-row pairs stacked: each row is its own incomparable pair.
         assert classify_support([P(2, 1), P(2, 2), P(1, 1), P(1, 4)]) is None
 
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_bitmask_twin_matches_point_classifier(self, n):
-        region = census._region(n)
-        pts = region.points
-        for size in (1, 2, 3, 4):
-            for ids in combinations(range(len(pts)), size):
-                expected = classify_support([pts[i] for i in ids])
-                assert region.classify(ids) == expected
 
-    def test_flipped_region_classifier_agrees_with_flipped_leq(self):
-        region = census._Region(census._flipped_points(1), census._flipped_leq, lambda p: 0)
-        pts = region.points
-        for size in (2, 3):
-            for ids in combinations(range(len(pts)), size):
-                expected = classify_support(
-                    [pts[i] for i in ids], leq=census._flipped_leq
-                )
-                assert region.classify(ids) == expected
-
-
-def _naive_census(rank: Rank, points):
-    """Reference full census over the given points, built directly on the
-    embeddings machinery."""
-    deg = lambda p: trapezoid_degree(rank, p)
+def _naive_census(points, order, deg):
+    """Reference full census over the given points under an order, built
+    directly on sub-multisets and chains: N(pi) is the number of length-3
+    sub-multisets with chain support, minus one, floored at zero."""
     by_type = {t: 0 for t in all_types()}
     by_degree = {}
     by_shape = {}
@@ -133,11 +113,12 @@ def _naive_census(rank: Rank, points):
     total = 0
     unclassified = 0
     for pi in enumerate_partitions(points, 4):
-        n_pi = n_count(pi, rank)
+        chains = sum(1 for rho in sub_multisets(pi, 3) if is_chain(rho.support, order))
+        n_pi = max(chains - 1, 0)
         if not n_pi:
             continue
         total += n_pi
-        tag = classify_support(pi.support)
+        tag = classify_support(pi.support, leq=order)
         if tag is None:
             unclassified += n_pi
         else:
@@ -151,20 +132,41 @@ def _naive_census(rank: Rank, points):
     return total, unclassified, by_type, by_degree, by_shape, sigma
 
 
+def _census_buckets(report):
+    """A census report in the layout of _naive_census, empty buckets dropped."""
+    return (
+        report.total,
+        report.unclassified,
+        report.n_by_type,
+        {d: v for d, v in report.n_by_degree.items() if v},
+        {s: v for s, v in report.n_by_shape.items() if v},
+        report.sigma,
+    )
+
+
 class TestOracleFull:
     @pytest.mark.parametrize("n", [1, 2])
     def test_matches_naive_reference(self, n):
         rank = Rank(n)
         report = oracle_full(rank)
-        total, unclassified, by_type, by_degree, by_shape, sigma = _naive_census(
-            rank, trapezoid_points(rank)
+        expected = _naive_census(
+            trapezoid_points(rank), leq, lambda p: trapezoid_degree(rank, p)
         )
-        assert report.total == total
-        assert report.unclassified == unclassified == 0
-        assert report.n_by_type == by_type
-        assert {d: v for d, v in report.n_by_degree.items() if v} == by_degree
-        assert {s: v for s, v in report.n_by_shape.items() if v} == by_shape
-        assert report.sigma == sigma
+        assert _census_buckets(report) == expected
+        assert report.unclassified == 0
+
+    def test_unclassified_bucket_is_walked(self):
+        """A relation that is not transitive: p <= x and x <= q, but p and q
+        are incomparable.  x lies neither above nor below both members of
+        the pair, so the N = 1 of the multiset x x p q has no type, next to
+        the 3 + 3 of the two comparable pairs."""
+        p, x, q = P(1, 1), P(2, 1), P(3, 1)
+        related = {(p, x), (x, q)}
+        order = lambda a, b: (a, b) in related
+        deg = lambda point: -point.row
+        report = census._census(Rank(1), census._Region([p, x, q], order, deg))
+        assert _census_buckets(report) == _naive_census([p, x, q], order, deg)
+        assert (report.unclassified, report.total) == (1, 7)
 
     def test_n1_frozen_values(self):
         report = oracle_full(Rank(1))
@@ -206,22 +208,23 @@ class TestOracleFull:
             oracle_full(Rank(1, 3))
 
 
-@given(st.sampled_from([2, 3]), st.data())
+@given(st.sampled_from([2, 3]), st.booleans(), st.data())
 @settings(max_examples=60, deadline=None)
-def test_census_walk_matches_naive_reference_on_subsets(n, data):
-    """The bitmask walk against n_count on a random subset of the trapezoid."""
+def test_census_walk_matches_naive_reference_on_subsets(n, flipped, data):
+    """The triple walk against sub-multisets and chains on a random subset of
+    the trapezoid or of the upside-down trapezoid."""
     rank = Rank(n)
-    points = data.draw(
-        st.lists(st.sampled_from(trapezoid_points(rank)), unique=True, max_size=10),
-        label="points",
+    points, order, _ = _points_order_coords(n, flipped)
+    subset = data.draw(
+        st.lists(st.sampled_from(points), unique=True, max_size=10), label="points"
     )
-    region = census._Region(points, leq, lambda p: trapezoid_degree(rank, p))
-    report = census._census(rank, region)
-    expected = _naive_census(rank, points)
-    assert (report.total, report.unclassified, report.n_by_type) == expected[:3]
-    assert {d: v for d, v in report.n_by_degree.items() if v} == expected[3]
-    assert {s: v for s, v in report.n_by_shape.items() if v} == expected[4]
-    assert report.sigma == expected[5]
+    if flipped:
+        # Row i of the upside-down trapezoid is row 2n+2-i of the trapezoid.
+        deg = lambda p: trapezoid_degree(rank, P(2 * n + 2 - p.row, p.col))
+    else:
+        deg = lambda p: trapezoid_degree(rank, p)
+    report = census._census(rank, census._Region(subset, order, deg))
+    assert _census_buckets(report) == _naive_census(subset, order, deg)
 
 
 def _points_order_coords(n: int, flipped: bool):
