@@ -3,11 +3,11 @@ Colored partitions, embeddings and the count N
 ==============================================
 
 A colored partition is a finite multiset of region points.  For each
-partition of length four the library counts its embeddings: leading
-terms of length three that divide a one-step extension.  The integer
-N attached to the partition is one less than that embedding count
-(floored at zero), and summing N over all length-four partitions is
-the census everything else cross-checks.
+partition of length four the library counts its embeddings: the
+leading terms of length three that divide the partition itself.  The
+integer N attached to the partition is one less than that embedding
+count (floored at zero), and summing N over all length-four partitions
+is the census everything else cross-checks.
 """
 
 from cascade.geometry import Rank, TrapezoidPoint, trapezoid_points

@@ -11,17 +11,18 @@ itself: each incomparable pair with the right row tag contributes the
 number of chains above it times the number below it.  The cone order is a
 2-D dominance order, so chains are counted in quadrants of a grid by suffix
 sums, no candidate is built and it scales to much larger ranks.  A third
-walk repeats the support count on the upside-down trapezoid, so the up-down
-symmetry of the counts can be checked on two genuinely different
-geometries.  The walks consult no closed form; only n_by_type_from_supports
-multiplies a walked support count by the per-support coefficient from
-closed_forms.
+walk repeats the support count on the upside-down trapezoid.  In dominance
+coordinates that is the trapezoid negated and shifted by (0, 2n+2): point
+(i, c) stands for trapezoid point (2n+2-i, c) under the reversed order.  So
+the flipped walk checks that the support count is consistent when the order
+is reversed, not that a second geometry agrees.  The walks consult no closed
+form; only n_by_type_from_supports multiplies a walked support count by the
+per-support coefficient from closed_forms.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cache
 from itertools import combinations_with_replacement
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -273,17 +274,6 @@ def _flipped_points(n: int) -> list[TrapezoidPoint]:
     ]
 
 
-@cache
-def _region(n: int) -> _Region:
-    """The index tables of the rank-n trapezoid, built once per process."""
-    rank = Rank(n)
-    return _Region(
-        geometry.trapezoid_points(rank),
-        geometry.leq,
-        lambda p: geometry.trapezoid_degree(rank, p),
-    )
-
-
 def _quadrant_chains(
     coords: Sequence[tuple[int, int]], size: int
 ) -> dict[tuple[int, int], int]:
@@ -367,7 +357,9 @@ def oracle_supports(rank: Rank, t: SupportType) -> int:
 
 def oracle_flipped(rank: Rank, t: SupportType) -> int:
     """Same walk on the upside-down trapezoid (long base up), whose order is
-    the dominance order of (col, row - col)."""
+    the dominance order of (col, row - col): the trapezoid's coordinates
+    negated and shifted by (0, 2n+2).  So it counts mirror(t) on the
+    trapezoid, a consistency check of the walk, not a second geometry."""
     points = _flipped_points(rank.n)
     return _count_supports([(p.col, p.row - p.col) for p in points], t)
 
@@ -520,4 +512,6 @@ def oracle_full(rank: Rank) -> CensusReport:
     """
     if rank.k != 2:
         raise ValueError(f"the full oracle walks length-4 multisets; needs k=2, got k={rank.k}")
-    return _census(rank, _region(rank.n))
+    points = geometry.trapezoid_points(rank)
+    region = _Region(points, geometry.leq, lambda p: geometry.trapezoid_degree(rank, p))
+    return _census(rank, region)

@@ -8,6 +8,7 @@ embeddings demanded by pi.
 """
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import geometry
@@ -37,33 +38,23 @@ def is_leading_term(rho: ColoredPartition, rank: Rank) -> bool:
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All ways to write total as an ordered sum of `parts` positive integers."""
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """All ways to write total >= 1 as an ordered sum of `parts` positive
+    integers: the gaps between parts - 1 cut points in 1..total-1."""
+    for cuts in combinations(range(1, total), parts - 1):
+        bounds = (0, *cuts, total)
+        yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
 
 
 def _chains(
     region: Sequence, max_size: int, leq: LeqFn
 ) -> Iterator[tuple]:
-    """All chains of size 1..max_size in region, as top-down tuples."""
+    """All chains of size 1..max_size in region, as top-down tuples: no two
+    points of one row are comparable, so sorting top row first suffices."""
     ordered = sorted(region, key=lambda p: (-p.row, p.col))
-
-    def extend(chain: tuple) -> Iterator[tuple]:
-        yield chain
-        if len(chain) == max_size:
-            return
-        last = chain[-1]
-        for q in ordered:
-            if q.row < last.row and leq(q, last):
-                yield from extend(chain + (q,))
-
-    for p in ordered:
-        yield from extend((p,))
+    for size in range(1, max_size + 1):
+        for chain in combinations(ordered, size):
+            if is_chain(chain, leq):
+                yield chain
 
 
 def enumerate_leading_terms(

@@ -9,8 +9,9 @@ from the strip; operations that need degrees take a degree function.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations_with_replacement
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Mapping
+from itertools import combinations_with_replacement, product
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 Point = Hashable
 DegreeFn = Callable[[Point], int]
@@ -80,29 +81,16 @@ def sub_multisets(pi: ColoredPartition, length: int) -> list[ColoredPartition]:
     """All sub-multisets of pi with the given length, each exactly once.
 
     The number of results is the coefficient of z^length in the product of
-    (1 + z + ... + z^m) over the part multiplicities m.
+    (1 + z + ... + z^m) over the part multiplicities m.  They come in
+    lexicographic order of their multiplicity vectors over pi's support.
     """
     if length < 0 or length > pi.length:
         return []
-    parts = pi.parts
-    out: list[ColoredPartition] = []
-    chosen: list[tuple[Point, int]] = []
-
-    def walk(idx: int, remaining: int) -> None:
-        if remaining == 0:
-            out.append(ColoredPartition(list(chosen)))
-            return
-        if idx == len(parts):
-            return
-        point, mult = parts[idx]
-        walk(idx + 1, remaining)
-        for take in range(1, min(mult, remaining) + 1):
-            chosen.append((point, take))
-            walk(idx + 1, remaining - take)
-            chosen.pop()
-
-    walk(0, length)
-    return out
+    return [
+        ColoredPartition([(p, take) for (p, _), take in zip(pi.parts, takes) if take])
+        for takes in product(*(range(m + 1) for _, m in pi.parts))
+        if sum(takes) == length
+    ]
 
 
 def shape_of(pi: ColoredPartition, degree_fn: DegreeFn) -> tuple[int, ...]:

@@ -311,13 +311,35 @@ def test_support_count_matches_classified_subsets(n, flipped, t, data):
     assert census._count_supports([coords(p) for p in subset], t) == expected
 
 
-def test_walks_build_no_region():
+def test_walks_build_no_region(monkeypatch):
     """The support and flipped walks never build the O(m^2) bitmask tables."""
-    census._region.cache_clear()
+
+    class NoRegion:
+        def __init__(self, *args):
+            raise AssertionError("a support walk built a _Region")
+
+    monkeypatch.setattr(census, "_Region", NoRegion)
     for t in all_types():
         oracle_supports(Rank(3), t)
         oracle_flipped(Rank(3), t)
-    assert census._region.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_flipped_trapezoid_is_the_trapezoid_reversed(n):
+    """phi(i, c) = (2n+2-i, c) maps the upside-down trapezoid onto the
+    trapezoid.  The flipped dominance coordinates are those of the image
+    negated and shifted by (0, 2n+2), and the flipped order is the order of
+    the images reversed, so the flipped walk is no second geometry."""
+    phi = lambda p: P(2 * n + 2 - p.row, p.col)
+    flipped, flipped_leq, flipped_coords = _points_order_coords(n, True)
+    plain, _, plain_coords = _points_order_coords(n, False)
+    assert sorted(map(phi, flipped)) == plain
+    for p in flipped:
+        x, y = plain_coords(phi(p))
+        assert flipped_coords(p) == (-x, 2 * n + 2 - y)
+    for a in flipped:
+        for b in flipped:
+            assert flipped_leq(a, b) == leq(phi(b), phi(a))
 
 
 class TestOracleFlipped:

@@ -1,12 +1,13 @@
 """Tests for leading terms, the embedding set E(pi), and N(pi)."""
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from cascade.geometry import Rank, TrapezoidPoint, leq, trapezoid_points
 from cascade.leading import (
+    _compositions,
     embeddings,
     enumerate_leading_terms,
     is_chain,
@@ -101,18 +102,18 @@ def test_four_point_chain_has_three_extra_embeddings():
     assert n_count(pi, rank) == 3
 
 
-def _compositions_of_four(parts):
-    if parts == 1:
-        yield (4,)
-        return
-    def rec(remaining, slots):
-        if slots == 1:
-            yield (remaining,)
-            return
-        for first in range(1, remaining - slots + 2):
-            for rest in rec(remaining - first, slots - 1):
-                yield (first,) + rest
-    yield from rec(4, parts)
+def _compositions_by_product(total, parts):
+    """The ordered sums of `parts` positive integers equal to total, in
+    lexicographic order; no part can exceed total - parts + 1."""
+    return [
+        c for c in product(range(1, total - parts + 2), repeat=parts) if sum(c) == total
+    ]
+
+
+@pytest.mark.parametrize("parts", range(1, 9))
+def test_compositions_match_filtered_product(parts):
+    for total in range(1, 9):
+        assert list(_compositions(total, parts)) == _compositions_by_product(total, parts)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -125,7 +126,7 @@ def test_chain_partitions_embed_once_per_chain_point(n):
         for subset in combinations(pts, size):
             if not is_chain(subset):
                 continue
-            for mults in _compositions_of_four(size):
+            for mults in _compositions_by_product(4, size):
                 pi = ColoredPartition(zip(subset, mults))
                 assert len(embeddings(pi, rank)) == size
                 assert n_count(pi, rank) == size - 1

@@ -118,6 +118,9 @@ def test_sub_multisets_counts_match_generating_function(mults, length):
     for rho in got:
         assert rho.length == length
         assert divides(rho, pi)
+    # Lexicographic in the multiplicity vector over pi's support.
+    vectors = [tuple(rho.multiplicity(p) for p in pi.support) for rho in got]
+    assert all(a < b for a, b in zip(vectors, vectors[1:]))
 
 
 def test_shape_of_examples():
