@@ -27,6 +27,7 @@ from itertools import combinations_with_replacement
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import geometry
+from .closed_forms import embeddings_per_support
 from .geometry import Rank, TrapezoidPoint
 
 SAME_ROW = "|"
@@ -207,7 +208,6 @@ class CensusReport:
     complete classification leaves it at 0.
     """
 
-    rank: Rank
     sigma: dict[SupportType, int]
     n_by_type: dict[SupportType, int]
     n_by_degree: dict[int, int]
@@ -226,40 +226,6 @@ def all_shapes() -> list[tuple[int, ...]]:
         combinations_with_replacement((-3, -2, -1), 4),
         key=lambda sh: (-sum(sh), tuple(-d for d in sh)),
     )
-
-
-class _Region:
-    """Index tables for a finite cone-ordered point set.
-
-    down[i] is the bitmask of the points strictly below point i in the
-    order and comp[i] the bitmask of the points comparable with it.
-    """
-
-    __slots__ = ("rows", "degrees", "down", "comp")
-
-    def __init__(
-        self,
-        points: Sequence[TrapezoidPoint],
-        leq: LeqFn,
-        degree_fn: Callable[[TrapezoidPoint], int],
-    ):
-        pts = list(points)
-        m = len(pts)
-        self.rows = [p.row for p in pts]
-        self.degrees = [degree_fn(p) for p in pts]
-        down = [0] * m
-        up = [0] * m
-        for i, a in enumerate(pts):
-            for j in range(i + 1, m):
-                b = pts[j]
-                if leq(a, b):
-                    down[j] |= 1 << i
-                    up[i] |= 1 << j
-                elif leq(b, a):
-                    down[i] |= 1 << j
-                    up[j] |= 1 << i
-        self.down = down
-        self.comp = [d | u for d, u in zip(down, up)]
 
 
 def _flipped_leq(a: TrapezoidPoint, b: TrapezoidPoint) -> bool:
@@ -367,13 +333,13 @@ def oracle_flipped(rank: Rank, t: SupportType) -> int:
 def n_by_type_from_supports(rank: Rank, t: SupportType) -> int:
     """N contributed by all supports of type t: support count times the
     per-support embedding coefficient."""
-    from .closed_forms import embeddings_per_support
-
     return embeddings_per_support(rank.k, t) * oracle_supports(rank, t)
 
 
-def _census(rank: Rank, region: _Region) -> CensusReport:
-    """Sum N over every length-4 multiset on the region, bucketed.
+def _census(
+    points: Sequence[TrapezoidPoint], leq: LeqFn, degree_fn: Callable[[TrapezoidPoint], int]
+) -> CensusReport:
+    """Sum N over every length-4 multiset on the points, bucketed.
 
     N(pi) = max(e - 1, 0), where e counts the length-3 sub-multisets of pi
     whose support is a chain.  e >= 2 needs a support with at most one
@@ -384,11 +350,24 @@ def _census(rank: Rank, region: _Region) -> CensusReport:
     and counts its fourth points l > k by popcounts of the tail mask, split
     by the degree of l, by whether l lies above or below both members of
     the incomparable pair and by whether the pair shares a row; pairs are
-    popcounts per i.  Mass goes under (type, degrees of the multiset), or
-    under None when no type applies, and is folded into the buckets once.
+    popcounts per i; down[i] and up[i] mask the points below and above i.
+    Mass goes under (type, degrees of the multiset), or under None when no
+    type applies, and is folded into the buckets once.
     """
-    comp, down, rows, degrees = region.comp, region.down, region.rows, region.degrees
-    up = [c & ~d for c, d in zip(comp, down)]
+    pts = list(points)
+    rows = [p.row for p in pts]
+    degrees = [degree_fn(p) for p in pts]
+    down = [0] * len(pts)
+    up = [0] * len(pts)
+    for i, a in enumerate(pts):
+        for j in range(i + 1, len(pts)):
+            if leq(a, pts[j]):
+                down[j] |= 1 << i
+                up[i] |= 1 << j
+            elif leq(pts[j], a):
+                down[i] |= 1 << j
+                up[j] |= 1 << i
+    comp = [d | u for d, u in zip(down, up)]
     levels: dict[int, int] = {}  # degree -> mask of the points of that degree
     row_mask: dict[int, int] = {}
     for x, (d, row) in enumerate(zip(degrees, rows)):
@@ -482,7 +461,6 @@ def _census(rank: Rank, region: _Region) -> CensusReport:
     for shape, v in by_shape.items():
         by_degree[sum(shape)] += v
     return CensusReport(
-        rank=rank,
         sigma={t: supports.get(key, 0) for key, t in types.items()},
         n_by_type=by_type,
         n_by_degree=by_degree,
@@ -513,5 +491,4 @@ def oracle_full(rank: Rank) -> CensusReport:
     if rank.k != 2:
         raise ValueError(f"the full oracle walks length-4 multisets; needs k=2, got k={rank.k}")
     points = geometry.trapezoid_points(rank)
-    region = _Region(points, geometry.leq, lambda p: geometry.trapezoid_degree(rank, p))
-    return _census(rank, region)
+    return _census(points, geometry.leq, lambda p: geometry.trapezoid_degree(rank, p))

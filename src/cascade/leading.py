@@ -45,16 +45,19 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
 
 
-def _chains(
-    region: Sequence, max_size: int, leq: LeqFn
-) -> Iterator[tuple]:
+def _chains(region: Sequence, max_size: int) -> Iterator[tuple]:
     """All chains of size 1..max_size in region, as top-down tuples: no two
-    points of one row are comparable, so sorting top row first suffices."""
+    points of one row are comparable, so each chain grows by the later points
+    of the top-row-first order below its last point, hence below all of it."""
     ordered = sorted(region, key=lambda p: (-p.row, p.col))
-    for size in range(1, max_size + 1):
-        for chain in combinations(ordered, size):
-            if is_chain(chain, leq):
-                yield chain
+    # The points a chain may grow by, keyed by its last point; () starts one.
+    below = {(): ordered}
+    for i, p in enumerate(ordered):
+        below[(p,)] = [q for q in ordered[i + 1 :] if geometry.leq(q, p)]
+    chains = [()]
+    for _ in range(max_size):
+        chains = [c + (q,) for c in chains for q in below[c[-1:]]]
+        yield from chains
 
 
 def enumerate_leading_terms(
@@ -66,7 +69,7 @@ def enumerate_leading_terms(
     into r positive multiplicities.
     """
     k = rank.k
-    for chain in _chains(region, k + 1, geometry.leq):
+    for chain in _chains(region, k + 1):
         for mults in _compositions(k + 1, len(chain)):
             yield ColoredPartition(zip(chain, mults))
 

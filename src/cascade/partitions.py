@@ -113,7 +113,7 @@ def enumerate_partitions(
 
 
 def compare(pi1: ColoredPartition, pi2: ColoredPartition, degree_fn: DegreeFn) -> int:
-    """Total order for deterministic reports: -1, 0 or 1.
+    """A total order on colored partitions: -1, 0 or 1.
 
     Longer partitions come first; among equal lengths lower degree comes
     first; ties break lexicographically on the sorted part sequence.

@@ -164,7 +164,7 @@ class TestOracleFull:
         related = {(p, x), (x, q)}
         order = lambda a, b: (a, b) in related
         deg = lambda point: -point.row
-        report = census._census(Rank(1), census._Region([p, x, q], order, deg))
+        report = census._census([p, x, q], order, deg)
         assert _census_buckets(report) == _naive_census([p, x, q], order, deg)
         assert (report.unclassified, report.total) == (1, 7)
 
@@ -223,7 +223,7 @@ def test_census_walk_matches_naive_reference_on_subsets(n, flipped, data):
         deg = lambda p: trapezoid_degree(rank, P(2 * n + 2 - p.row, p.col))
     else:
         deg = lambda p: trapezoid_degree(rank, p)
-    report = census._census(rank, census._Region(subset, order, deg))
+    report = census._census(subset, order, deg)
     assert _census_buckets(report) == _naive_census(subset, order, deg)
 
 
@@ -312,13 +312,13 @@ def test_support_count_matches_classified_subsets(n, flipped, t, data):
 
 
 def test_walks_build_no_region(monkeypatch):
-    """The support and flipped walks never build the O(m^2) bitmask tables."""
+    """The support and flipped walks never build the O(m^2) bitmask tables,
+    which only the full census builds."""
 
-    class NoRegion:
-        def __init__(self, *args):
-            raise AssertionError("a support walk built a _Region")
+    def no_census(*args):
+        raise AssertionError("a support walk ran the full census")
 
-    monkeypatch.setattr(census, "_Region", NoRegion)
+    monkeypatch.setattr(census, "_census", no_census)
     for t in all_types():
         oracle_supports(Rank(3), t)
         oracle_flipped(Rank(3), t)
@@ -370,6 +370,22 @@ class TestOracleFlipped:
         rank = Rank(n)
         for t in all_types():
             assert oracle_flipped(rank, t) == oracle_supports(rank, mirror(t))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_full_census_mirrors_oracle_full(self, n):
+        """The triple walk on the whole upside-down trapezoid, with the degree
+        of row 2n+2-i, is the plain census with every type mirrored."""
+        rank = Rank(n)
+        deg = lambda p: trapezoid_degree(rank, P(2 * n + 2 - p.row, p.col))
+        report = census._census(census._flipped_points(n), census._flipped_leq, deg)
+        plain = oracle_full(rank)
+        assert report.total == plain.total
+        assert report.n_by_degree == plain.n_by_degree
+        assert report.n_by_shape == plain.n_by_shape
+        for t in all_types():
+            assert report.n_by_type[t] == plain.n_by_type[mirror(t)]
+            assert report.sigma[t] == plain.sigma[mirror(t)]
+        assert report.unclassified == 0
 
 
 class TestFamilyCounts:

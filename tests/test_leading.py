@@ -5,6 +5,7 @@ from itertools import combinations, product
 
 import pytest
 
+from cascade.census import SupportType, oracle_supports
 from cascade.geometry import Rank, TrapezoidPoint, leq, trapezoid_points
 from cascade.leading import (
     _compositions,
@@ -53,17 +54,31 @@ def test_enumerate_leading_terms_n1():
     assert len(terms) == 49
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_enumerate_leading_terms_complete(n):
-    rank = Rank(n)
+@pytest.mark.parametrize(
+    "rank", [Rank(1), Rank(2), Rank(3), Rank(2, 3)], ids=["1", "2", "3", "2-3"]
+)
+def test_enumerate_leading_terms_complete(rank):
     region = trapezoid_points(rank)
-    terms = set(enumerate_leading_terms(rank, region))
+    terms = list(enumerate_leading_terms(rank, region))
     brute = {
         pi
         for pi in enumerate_partitions(region, rank.k + 1)
         if is_leading_term(pi, rank)
     }
-    assert terms == brute
+    assert len(terms) == len(set(terms))
+    assert set(terms) == brute
+
+
+@pytest.mark.parametrize("n, count", [(1, 49), (2, 588), (3, 3234), (4, 12012)])
+def test_leading_term_count_from_chain_counts(n, count):
+    """A length-3 leading term is a cube, a 2-chain carrying one of the two
+    compositions of 3, or a 3-chain: m + 2 #A2 + #A3 terms, with the chains
+    counted by the support walk."""
+    rank = Rank(n)
+    region = trapezoid_points(rank)
+    chains = lambda r: oracle_supports(rank, SupportType.a(r))
+    assert len(region) + 2 * chains(2) + chains(3) == count
+    assert sum(1 for _ in enumerate_leading_terms(rank, region)) == count
 
 
 def test_embeddings_examples():
