@@ -10,7 +10,6 @@ This script builds the region at small rank and prints every view of it.
 
 from cascade.geometry import (
     Rank,
-    cone_section,
     leq,
     root_label,
     strip_global,
@@ -65,11 +64,10 @@ print(f"\ncone order samples: {tuple(a)} <= {tuple(b)}: {leq(a, b)}; "
       f"{tuple(c)} <= {tuple(b)}: {leq(c, b)}; "
       f"{tuple(a)} <= {tuple(c)}: {leq(a, c)}")
 
-# cone_section slices the cone of a point at a lower row: the window of
-# columns it covers there.
+# The cone of a point meets each lower row in a window of columns.
 top = max(points, key=lambda p: (p.row, p.col))
 for row in (top.row - 1, 1):
-    cols = sorted(q.col for q in cone_section(rank, top, row))
+    cols = [q.col for q in points if q.row == row and leq(q, top)]
     print(f"cone of {tuple(top)} meets row {row} in cols {cols}")
 
 # Finally the degree: -1, -2 or -3 according to the triangle the point

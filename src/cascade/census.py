@@ -6,18 +6,16 @@ type, degree and shape.  It walks the triples of points with at most one
 incomparable pair and counts the fourth point of each support by popcounts
 of bitmasks, split by degree, by the side of the incomparable pair and by
 row, so no support of four points is visited or classified on its own.
-The support oracle counts the supports of a single type on the cone order
-itself: each incomparable pair with the right row tag contributes the
-number of chains above it times the number below it.  The cone order is a
+The support oracle counts the supports of every type of at most k+2
+points in one walk on the cone order itself: each incomparable pair
+contributes the number of chains above it times the number below it, for
+every pair of chain sizes and both row tags at once.  The cone order is a
 2-D dominance order, so chains are counted in quadrants of a grid by suffix
-sums, no candidate is built and it scales to much larger ranks.  A third
-walk repeats the support count on the upside-down trapezoid.  In dominance
-coordinates that is the trapezoid negated and shifted by (0, 2n+2): point
-(i, c) stands for trapezoid point (2n+2-i, c) under the reversed order.  So
-the flipped walk checks that the support count is consistent when the order
-is reversed, not that a second geometry agrees.  The walks consult no closed
-form; only n_by_type_from_supports multiplies a walked support count by the
-per-support coefficient from closed_forms.
+sums, no candidate is built and it scales to much larger ranks.  The same
+walk on the upside-down trapezoid, in dominance coordinates the trapezoid
+negated and shifted by (0, 2n+2), counts each type as its mirror: a
+consistency check of the walk under the reversed order, not a second
+geometry.  The walks consult no closed form.
 """
 from __future__ import annotations
 
@@ -27,7 +25,6 @@ from itertools import combinations_with_replacement
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import geometry
-from .closed_forms import embeddings_per_support
 from .geometry import Rank, TrapezoidPoint
 
 SAME_ROW = "|"
@@ -228,112 +225,117 @@ def all_shapes() -> list[tuple[int, ...]]:
     )
 
 
-def _flipped_leq(a: TrapezoidPoint, b: TrapezoidPoint) -> bool:
-    # On the upside-down trapezoid cones open down and to the left.
-    return a.row <= b.row and b.col - (b.row - a.row) <= a.col <= b.col
-
-
-def _flipped_points(n: int) -> list[TrapezoidPoint]:
-    """The upside-down trapezoid: row i holds columns 1 .. 2n+i-1."""
-    return [
-        TrapezoidPoint(i, j) for i in range(1, 2 * n + 2) for j in range(1, 2 * n + i)
-    ]
-
-
 def _quadrant_chains(
     coords: Sequence[tuple[int, int]], size: int
-) -> dict[tuple[int, int], int]:
-    """Chains of the given size in every upper quadrant of a dominance order.
+) -> list[dict[tuple[int, int], int]]:
+    """Chains of each size 0..size in every upper quadrant of a dominance order.
 
     The points are distinct (x, y) pairs ordered by a <= b exactly when
-    x_a <= x_b and y_a <= y_b.  The result maps every corner (X, Y) of the
-    bounding grid to the number of chains inside {x >= X, y >= Y}.  A chain
-    lies there exactly when its lowest point does, so each step counts the
-    chains one point longer by their lowest point p: the chains in p's
-    quadrant that do not already start at p.  2-D suffix sums of those
-    counts give the next quadrant table.
+    x_a <= x_b and y_a <= y_b.  Table r maps every corner (X, Y) of the
+    bounding grid to the number of r-chains inside {x >= X, y >= Y}.  A
+    chain lies there exactly when its lowest point does, so each step
+    counts the chains one point longer by their lowest point p: the chains
+    in p's quadrant that do not already start at p.  2-D suffix sums of
+    those counts give the next table.
     """
     xs = range(min(x for x, _ in coords), max(x for x, _ in coords) + 1)
     ys = range(min(y for _, y in coords), max(y for _, y in coords) + 1)
-    quadrant = {(x, y): 1 for x in xs for y in ys}  # the empty chain
+    tables = [{(x, y): 1 for x in xs for y in ys}]  # the empty chain
     ends = dict.fromkeys(coords, 0)
     for _ in range(size):
-        ends = {p: quadrant[p] - ends[p] for p in coords}
+        ends = {p: tables[-1][p] - ends[p] for p in coords}
         quadrant = {}
         for x in reversed(xs):
             column = 0
             for y in reversed(ys):
                 column += ends.get((x, y), 0)
                 quadrant[x, y] = column + quadrant.get((x + 1, y), 0)
-    return quadrant
+        tables.append(quadrant)
+    return tables
 
 
-def _count_supports(coords: Sequence[tuple[int, int]], t: SupportType) -> int:
-    """Count the supports of type t among points of a dominance order.
+def _support_counts(
+    coords: Sequence[tuple[int, int]], size: int
+) -> dict[SupportType, int]:
+    """Count the supports of every type of at most size points in one walk.
 
     A(r) is a chain of r points.  A B, C or D support is one incomparable
-    pair with the row tag of t, a chain of t's upper size above both and a
-    chain of its lower size below both (B has an empty lower chain, C an
-    empty upper one); transitivity makes every such set a support of type
-    t, and its incomparable pair is unique, so each support is counted
-    once.  An incomparable pair has x_b < x_c and y_c < y_b; the points
-    above both dominate the corner (x_c, y_b) and the points below both
-    are dominated by (x_b, y_c).  For each column pair a sweep up the y
-    axis sums the lower chains of the c points passed, so the work is
-    O(columns^2 * rows).  Since x + y is the row, the pair shares a row
-    exactly when y_c = x_b + y_b - x_c.
+    pair, a chain of a points above both and a chain of b points below both
+    (B has b = 0, C a = 0); transitivity makes every such set a support, and
+    its incomparable pair is unique, so each support is counted once.  An
+    incomparable pair has x_b < x_c and y_c < y_b; the points above both
+    dominate the corner (x_c, y_b) and the points below both are dominated
+    by (x_b, y_c).  For each column pair a sweep up the y axis sums the
+    lower chains of the c points passed, for every (a, b) with
+    1 <= a + b <= size - 2 at once, so the work is O(columns^2 * rows).
+    Since x + y is the row, the pair shares a row exactly when
+    y_c = x_b + y_b - x_c.
     """
     lowest = (min(x for x, _ in coords), min(y for _, y in coords))
-    if t.family == "A":
-        return _quadrant_chains(coords, t.r)[lowest]
-    above = t.r if t.family in ("B", "D") else 0
-    below = t.s if t.family == "D" else (t.r if t.family == "C" else 0)
-    up = _quadrant_chains(coords, above)
+    up = _quadrant_chains(coords, size)
+    counts = {SupportType.a(r): up[r][lowest] for r in range(2, size + 1)}
     # Chains below (X, Y) are the chains above (-X, -Y) in the negated order.
-    down = _quadrant_chains([(-x, -y) for x, y in coords], below)
+    down = _quadrant_chains([(-x, -y) for x, y in coords], size - 2)
+    patterns = [(a, b) for a in range(size - 1) for b in range(size - 1 - a) if a or b]
+    total = dict.fromkeys(patterns, 0)
+    same = dict.fromkeys(patterns, 0)
     points = set(coords)
     xs = sorted({x for x, _ in coords})
     ys = range(lowest[1], max(y for _, y in coords) + 1)
-    total = same = 0
     for i, xb in enumerate(xs):
         for xc in xs[i + 1 :]:
-            passed = 0  # lower chains of the c points with y_c < y
+            passed = [0] * (size - 1)  # lower chains by size, c points with y_c < y
             for y in ys:
                 if (xb, y) in points:
-                    total += up[xc, y] * passed
                     yc = xb + y - xc
-                    if (xc, yc) in points:
-                        same += up[xc, y] * down[-xb, -yc]
+                    corner, low = (xc, y), (-xb, -yc)
+                    pair = (xc, yc) in points
+                    for a, b in patterns:
+                        above = up[a][corner]
+                        total[a, b] += above * passed[b]
+                        if pair:
+                            same[a, b] += above * down[b][low]
                 if (xc, y) in points:
-                    passed += down[-xb, -y]
-    return same if t.delta == SAME_ROW else total - same
+                    low = -xb, -y
+                    for b, chains in enumerate(down):
+                        passed[b] += chains[low]
+    for a, b in patterns:
+        counts[_pair_type(a, SAME_ROW, b)] = same[a, b]
+        counts[_pair_type(a, DIFF_ROW, b)] = total[a, b] - same[a, b]
+    return counts
+
+
+def _coords(rank: Rank) -> list[tuple[int, int]]:
+    """The trapezoid in dominance coordinates (-col, col + row)."""
+    return [(-p.col, p.col + p.row) for p in geometry.trapezoid_points(rank)]
+
+
+def _flipped_coords(rank: Rank) -> list[tuple[int, int]]:
+    """The upside-down trapezoid (long base up): the trapezoid's coordinates
+    negated and shifted by (0, 2n+2), so it counts mirror(t) as t."""
+    return [(-x, 2 * rank.n + 2 - y) for x, y in _coords(rank)]
+
+
+def support_counts(rank: Rank) -> dict[SupportType, int]:
+    """Supports of every type of at most k+2 points in the trapezoid, by one
+    walk on the order; no closed formula is consulted."""
+    return _support_counts(_coords(rank), rank.k + 2)
+
+
+def flipped_support_counts(rank: Rank) -> dict[SupportType, int]:
+    """The same walk on the upside-down trapezoid: a consistency check of
+    the walk under the reversed order, not a second geometry."""
+    return _support_counts(_flipped_coords(rank), rank.k + 2)
 
 
 def oracle_supports(rank: Rank, t: SupportType) -> int:
-    """Count supports of type t in the trapezoid by a walk on the order.
-
-    The cone order is the dominance order of (-col, col + row), so chains
-    above and below each incomparable pair are read off quadrant tables of
-    chain counts, without consulting any closed formula.  Structurally
-    impossible types simply count 0.
-    """
-    points = geometry.trapezoid_points(rank)
-    return _count_supports([(-p.col, p.col + p.row) for p in points], t)
+    """Supports of type t in the trapezoid; impossible types count 0."""
+    return _support_counts(_coords(rank), t.size)[t]
 
 
 def oracle_flipped(rank: Rank, t: SupportType) -> int:
-    """Same walk on the upside-down trapezoid (long base up), whose order is
-    the dominance order of (col, row - col): the trapezoid's coordinates
-    negated and shifted by (0, 2n+2).  So it counts mirror(t) on the
-    trapezoid, a consistency check of the walk, not a second geometry."""
-    points = _flipped_points(rank.n)
-    return _count_supports([(p.col, p.row - p.col) for p in points], t)
-
-
-def n_by_type_from_supports(rank: Rank, t: SupportType) -> int:
-    """N contributed by all supports of type t: support count times the
-    per-support embedding coefficient."""
-    return embeddings_per_support(rank.k, t) * oracle_supports(rank, t)
+    """Supports of type t in the upside-down trapezoid."""
+    return _support_counts(_flipped_coords(rank), t.size)[t]
 
 
 def _census(

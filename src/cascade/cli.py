@@ -24,7 +24,7 @@ import sys
 from functools import cache
 
 from . import census, closed_forms, geometry
-from .census import SupportType, all_types, mirror
+from .census import all_types, mirror
 from .geometry import Rank
 
 _RANGE_RE = re.compile(r"^(\d+)\.\.(\d+)$")
@@ -163,12 +163,11 @@ def _verify_rank(checks: _Checks, rank: Rank, cap: int) -> None:
             checks.add(n, check, "shape-sum", report.total, sum(report.n_by_shape.values()))
         # Support walks against the closed nested sums.
         check = "support-count"
-        counted: dict[str, int] = {}
+        counted = census.support_counts(rank)
         for t in types:
-            counted[t.key()] = census.oracle_supports(rank, t)
-            checks.add(n, check, t.key(), support_closed(t), counted[t.key()])
+            checks.add(n, check, t.key(), support_closed(t), counted[t])
         oracle_total = sum(
-            closed_forms.embeddings_per_support(rank.k, t) * counted[t.key()] for t in types
+            closed_forms.embeddings_per_support(rank.k, t) * counted[t] for t in types
         )
         checks.add(n, check, "oracle-total", total_closed(), oracle_total)
         # Coefficient times closed sum against the per-type polynomial.
@@ -213,10 +212,9 @@ def _verify_rank(checks: _Checks, rank: Rank, cap: int) -> None:
         checks.add(n, check, "identity", True, closed_forms.equivalence_identity(rank))
         # Up-down symmetry: flipped walk equals the mirrored plain walk.
         check = "flipped"
+        flipped = census.flipped_support_counts(rank)
         for t in types:
-            checks.add(
-                n, check, t.key(), counted[mirror(t).key()], census.oracle_flipped(rank, t)
-            )
+            checks.add(n, check, t.key(), counted[mirror(t)], flipped[t])
     except ArithmeticError as exc:
         checks.add(n, check, "error", "no error", str(exc))
 
@@ -224,8 +222,10 @@ def _verify_rank(checks: _Checks, rank: Rank, cap: int) -> None:
 def _count_payload(rank: Rank, types_only: bool):
     """Ordered (section, rows) pairs plus the total."""
     if types_only:
+        counted = census.support_counts(rank)
         by_type = {
-            t.key(): census.n_by_type_from_supports(rank, t) for t in all_types()
+            t.key(): closed_forms.embeddings_per_support(rank.k, t) * counted[t]
+            for t in all_types()
         }
         return [("byType", by_type)], sum(by_type.values())
     report = census.oracle_full(rank)

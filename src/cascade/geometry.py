@@ -83,16 +83,6 @@ def leq(a: TrapezoidPoint, b: TrapezoidPoint) -> bool:
     return a.row <= b.row and b.col <= a.col <= b.col + (b.row - a.row)
 
 
-def cone_section(rank: Rank, b: TrapezoidPoint, row: int) -> list[TrapezoidPoint]:
-    """The points of the given row lying in the cone below b, clipped to T."""
-    n = rank.n
-    if not 1 <= row <= 2 * n + 1:
-        raise ValueError(f"row out of range: {row}")
-    lo = max(b.col, 1)
-    hi = min(b.col + (b.row - row), 4 * n + 1 - row)
-    return [TrapezoidPoint(row, j) for j in range(lo, hi + 1)]
-
-
 def _check_strip_point(rank: Rank, p: StripPoint) -> None:
     n = rank.n
     if p.d < 1:

@@ -1,10 +1,9 @@
 """Colored partitions: finite multisets of array points with statistics.
 
 A colored partition is a map from points to positive multiplicities.  Its
-length is the number of parts counted with multiplicity, its degree is the
-multiplicity-weighted sum of point degrees, and its shape is the ordinary
-partition formed by the part degrees.  Points may come from the trapezoid or
-from the strip; operations that need degrees take a degree function.
+length is the number of parts counted with multiplicity and its degree is
+the multiplicity-weighted sum of point degrees.  Points may come from the
+trapezoid or from the strip; the degree takes a degree function.
 """
 from __future__ import annotations
 
@@ -72,11 +71,6 @@ class ColoredPartition:
         return f"ColoredPartition({{{inner}}})"
 
 
-def divides(rho: ColoredPartition, pi: ColoredPartition) -> bool:
-    """True iff rho is a sub-multiset of pi (an embedding of rho into pi)."""
-    return all(m <= pi.multiplicity(p) for p, m in rho.parts)
-
-
 def sub_multisets(pi: ColoredPartition, length: int) -> list[ColoredPartition]:
     """All sub-multisets of pi with the given length, each exactly once.
 
@@ -93,11 +87,6 @@ def sub_multisets(pi: ColoredPartition, length: int) -> list[ColoredPartition]:
     ]
 
 
-def shape_of(pi: ColoredPartition, degree_fn: DegreeFn) -> tuple[int, ...]:
-    """The ordinary partition of |pi|: part degrees sorted most negative first."""
-    return tuple(sorted(degree_fn(p) for p, m in pi.parts for _ in range(m)))
-
-
 def enumerate_partitions(
     region: Sequence[Point], length: int
 ) -> Iterator[ColoredPartition]:
@@ -110,21 +99,3 @@ def enumerate_partitions(
         raise ValueError(f"length must be >= 0, got {length}")
     for points in combinations_with_replacement(region, length):
         yield ColoredPartition.from_points(points)
-
-
-def compare(pi1: ColoredPartition, pi2: ColoredPartition, degree_fn: DegreeFn) -> int:
-    """A total order on colored partitions: -1, 0 or 1.
-
-    Longer partitions come first; among equal lengths lower degree comes
-    first; ties break lexicographically on the sorted part sequence.
-    """
-    l1, l2 = pi1.length, pi2.length
-    if l1 != l2:
-        return -1 if l1 > l2 else 1
-    d1, d2 = pi1.degree(degree_fn), pi2.degree(degree_fn)
-    if d1 != d2:
-        return -1 if d1 < d2 else 1
-    e1, e2 = pi1.expanded(), pi2.expanded()
-    if e1 != e2:
-        return -1 if e1 < e2 else 1
-    return 0

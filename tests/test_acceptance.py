@@ -14,11 +14,10 @@ from cascade import cli
 from cascade.census import (
     all_types,
     classify_support,
+    flipped_support_counts,
     mirror,
-    n_by_type_from_supports,
-    oracle_flipped,
     oracle_full,
-    oracle_supports,
+    support_counts,
 )
 from cascade.closed_forms import (
     binomial,
@@ -63,7 +62,7 @@ def test_criterion_02_rank_nine_support_walk():
     for n in (9, 12):
         rank = Rank(n)
         start = time.perf_counter()
-        totals[n] = sum(n_by_type_from_supports(rank, t) for t in all_types())
+        totals[n] = sum(embeddings_per_support(2, t) * c for t, c in support_counts(rank).items())
         times[n] = time.perf_counter() - start
     assert totals[9] == N9_TOTAL
     assert totals[12] == N12_TOTAL
@@ -79,8 +78,9 @@ def test_criterion_03_oracles_agree(census_runs):
     for n in (1, 2, 3, 4, 5):
         rank = Rank(n)
         report = reports[n]
+        counted = support_counts(rank)
         for t in all_types():
-            walked = embeddings_per_support(2, t) * oracle_supports(rank, t)
+            walked = embeddings_per_support(2, t) * counted[t]
             assert report.n_by_type[t] == walked, (n, t.key())
         assert report.total == n_total_closed(rank)
     assert reports[3].total == 40194
@@ -108,17 +108,14 @@ def test_criterion_04_closed_sums_match_walks():
             t.key(),
         )
     start = time.perf_counter()
-    for n in range(1, 13):
-        rank = Rank(n)
+    for n in (*range(1, 17), 20, 24):
+        counted = support_counts(Rank(n))
         for t in all_types():
-            assert closed[n, t] == oracle_supports(rank, t), (n, t.key())
-    rank = Rank(20)
-    for t in all_types():
-        assert closed[20, t] == oracle_supports(rank, t), (20, t.key())
+            assert closed[n, t] == counted[t], (n, t.key())
     elapsed = time.perf_counter() - start
     print(
         "\nPASS criterion 4: closed nested sums match support walks, "
-        f"13 types x n=1..12 and n=20 ({elapsed:.1f}s); all 13 closed sums for "
+        f"13 types x n=1..16, 20 and 24 ({elapsed:.1f}s); all 13 closed sums for "
         f"n=1..24 in {sweep:.2f}s (budget 3s)"
     )
 
@@ -207,12 +204,9 @@ def test_criterion_10_per_support_inventories():
 
 def test_criterion_11_up_down_symmetry():
     for n in range(1, 13):
-        rank = Rank(n)
+        plain, flipped = support_counts(Rank(n)), flipped_support_counts(Rank(n))
         for t in all_types():
-            assert oracle_flipped(rank, t) == oracle_supports(rank, mirror(t)), (
-                n,
-                t.key(),
-            )
+            assert flipped[t] == plain[mirror(t)], (n, t.key())
     print("\nPASS criterion 11: flipped-region walks mirror plain walks, n=1..12")
 
 

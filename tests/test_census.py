@@ -6,6 +6,7 @@ same partitions and recomputes N(pi) from their sub-multisets and chains.
 """
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -17,17 +18,34 @@ from cascade.census import (
     all_shapes,
     all_types,
     classify_support,
+    flipped_support_counts,
     mirror,
     oracle_flipped,
     oracle_full,
     oracle_supports,
-    n_by_type_from_supports,
+    support_counts,
 )
+from cascade.closed_forms import embeddings_per_support
 from cascade.geometry import Rank, TrapezoidPoint, leq, trapezoid_degree, trapezoid_points
 from cascade.leading import embeddings, is_chain
-from cascade.partitions import enumerate_partitions, shape_of, sub_multisets
+from cascade.partitions import ColoredPartition, enumerate_partitions, sub_multisets
 
 P = TrapezoidPoint
+
+
+def shape_of(pi, deg):
+    """The ordinary partition of |pi|: part degrees sorted most negative first."""
+    return tuple(sorted(deg(p) for p in pi.expanded()))
+
+
+def _flipped_leq(a, b):
+    # On the upside-down trapezoid cones open down and to the left.
+    return a.row <= b.row and b.col - (b.row - a.row) <= a.col <= b.col
+
+
+def _flipped_points(n):
+    """The upside-down trapezoid: row i holds columns 1 .. 2n+i-1."""
+    return [P(i, j) for i in range(1, 2 * n + 2) for j in range(1, 2 * n + i)]
 
 
 class TestSupportType:
@@ -230,7 +248,7 @@ def test_census_walk_matches_naive_reference_on_subsets(n, flipped, data):
 def _points_order_coords(n: int, flipped: bool):
     """The points, the cone order and the dominance coordinates of a region."""
     if flipped:
-        return census._flipped_points(n), census._flipped_leq, lambda p: (p.col, p.row - p.col)
+        return _flipped_points(n), _flipped_leq, lambda p: (p.col, p.row - p.col)
     return trapezoid_points(Rank(n)), leq, lambda p: (-p.col, p.col + p.row)
 
 
@@ -282,10 +300,30 @@ class TestOracleSupports:
             assert report.sigma[t] == oracle_supports(Rank(n), t)
 
     def test_n_by_type_from_supports_examples(self):
-        rank = Rank(1)
-        assert n_by_type_from_supports(rank, SupportType.a(2)) == 16 * 3 == 48
-        assert n_by_type_from_supports(rank, SupportType.b(1, "|")) == 11
-        assert n_by_type_from_supports(rank, SupportType.a(3)) == 8 * 6 == 48
+        counted = support_counts(Rank(1))
+        n_by_type = lambda t: embeddings_per_support(2, t) * counted[t]
+        assert n_by_type(SupportType.a(2)) == 16 * 3 == 48
+        assert n_by_type(SupportType.b(1, "|")) == 11
+        assert n_by_type(SupportType.a(3)) == 8 * 6 == 48
+
+    def test_one_walk_holds_the_thirteen_types(self):
+        assert support_counts(Rank(2)).keys() == set(all_types())
+        assert flipped_support_counts(Rank(2)).keys() == set(all_types())
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_level_three_walk_matches_subset_bruteforce(self, n):
+        """At k=3 the walk counts every type of at most five points; each
+        equals classifying every subset of two to five points."""
+        points = trapezoid_points(Rank(n))
+        brute = Counter(
+            classify_support(subset)
+            for size in range(2, 6)
+            for subset in combinations(points, size)
+        )
+        del brute[None]
+        counted = support_counts(Rank(n, 3))
+        assert len(counted) == 22 and all(t.size <= 5 for t in counted)
+        assert {t: v for t, v in counted.items() if v} == dict(brute)
 
 
 @given(
@@ -308,7 +346,7 @@ def test_support_count_matches_classified_subsets(n, flipped, t, data):
         for candidate in combinations(subset, t.size)
         if classify_support(candidate, leq=order) == t
     )
-    assert census._count_supports([coords(p) for p in subset], t) == expected
+    assert census._support_counts([coords(p) for p in subset], t.size)[t] == expected
 
 
 def test_walks_build_no_region(monkeypatch):
@@ -319,17 +357,19 @@ def test_walks_build_no_region(monkeypatch):
         raise AssertionError("a support walk ran the full census")
 
     monkeypatch.setattr(census, "_census", no_census)
-    for t in all_types():
-        oracle_supports(Rank(3), t)
-        oracle_flipped(Rank(3), t)
+    support_counts(Rank(3))
+    flipped_support_counts(Rank(3))
+    oracle_supports(Rank(3), SupportType.d(1, "|", 1))
+    oracle_flipped(Rank(3), SupportType.d(1, "|", 1))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_flipped_trapezoid_is_the_trapezoid_reversed(n):
+def test_flipped_trapezoid_is_the_trapezoid_reversed(n, monkeypatch):
     """phi(i, c) = (2n+2-i, c) maps the upside-down trapezoid onto the
     trapezoid.  The flipped dominance coordinates are those of the image
-    negated and shifted by (0, 2n+2), and the flipped order is the order of
-    the images reversed, so the flipped walk is no second geometry."""
+    negated and shifted by (0, 2n+2), the flipped order is the order of the
+    images reversed, and the flipped walk runs on exactly those
+    coordinates, so it is no second geometry."""
     phi = lambda p: P(2 * n + 2 - p.row, p.col)
     flipped, flipped_leq, flipped_coords = _points_order_coords(n, True)
     plain, _, plain_coords = _points_order_coords(n, False)
@@ -340,6 +380,10 @@ def test_flipped_trapezoid_is_the_trapezoid_reversed(n):
     for a in flipped:
         for b in flipped:
             assert flipped_leq(a, b) == leq(phi(b), phi(a))
+    walked = []
+    monkeypatch.setattr(census, "_support_counts", lambda coords, size: walked.append(coords))
+    flipped_support_counts(Rank(n))
+    assert sorted(walked[0]) == sorted(map(flipped_coords, flipped))
 
 
 class TestOracleFlipped:
@@ -377,7 +421,7 @@ class TestOracleFlipped:
         of row 2n+2-i, is the plain census with every type mirrored."""
         rank = Rank(n)
         deg = lambda p: trapezoid_degree(rank, P(2 * n + 2 - p.row, p.col))
-        report = census._census(census._flipped_points(n), census._flipped_leq, deg)
+        report = census._census(_flipped_points(n), _flipped_leq, deg)
         plain = oracle_full(rank)
         assert report.total == plain.total
         assert report.n_by_degree == plain.n_by_degree
@@ -450,3 +494,24 @@ def test_all_shapes_inventory():
     assert len(set(shapes)) == 15
     degrees = sorted({sum(s) for s in shapes})
     assert degrees == list(range(-12, -3))
+
+
+def test_shape_of_examples():
+    rank = Rank(2)
+    deg = lambda p: trapezoid_degree(rank, p)
+    by_degree = {}
+    for p in trapezoid_points(rank):
+        by_degree.setdefault(deg(p), []).append(p)
+    pi = ColoredPartition({by_degree[-3][0]: 2, by_degree[-2][0]: 1})
+    assert shape_of(pi, deg) == (-3, -3, -2)
+    assert shape_of(ColoredPartition({}), deg) == ()
+    quad = ColoredPartition({by_degree[-1][0]: 3, by_degree[-1][1]: 1})
+    assert shape_of(quad, deg) == (-1, -1, -1, -1)
+    assert quad.degree(deg) == -4
+
+
+def test_shape_sorted_most_negative_first():
+    deg = lambda p: trapezoid_degree(Rank(1), p)
+    pi = ColoredPartition({P(1, 1): 1, P(2, 2): 1, P(1, 3): 1})
+    # Degrees -1, -2, -3 in some order; shape lists heaviest parts first.
+    assert shape_of(pi, deg) == (-3, -2, -1)

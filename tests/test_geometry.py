@@ -7,7 +7,6 @@ from cascade.geometry import (
     Rank,
     StripPoint,
     TrapezoidPoint,
-    cone_section,
     degree_of,
     leq,
     root_label,
@@ -91,40 +90,6 @@ def test_no_point_between_incomparable_pair(n):
             for x in pts:
                 if leq(x, b):
                     assert not leq(c, x)
-
-
-def test_cone_section_examples():
-    assert cone_section(Rank(1), TrapezoidPoint(3, 1), 1) == [
-        TrapezoidPoint(1, 1),
-        TrapezoidPoint(1, 2),
-        TrapezoidPoint(1, 3),
-    ]
-    assert cone_section(Rank(1), TrapezoidPoint(2, 1), 2) == [TrapezoidPoint(2, 1)]
-    assert cone_section(Rank(2), TrapezoidPoint(5, 2), 4) == [
-        TrapezoidPoint(4, 2),
-        TrapezoidPoint(4, 3),
-    ]
-
-
-def test_cone_section_row_out_of_range():
-    with pytest.raises(ValueError, match="row out of range"):
-        cone_section(Rank(1), TrapezoidPoint(3, 1), 0)
-    with pytest.raises(ValueError, match="row out of range"):
-        cone_section(Rank(1), TrapezoidPoint(3, 1), 4)
-
-
-@pytest.mark.parametrize("n", [1, 2])
-def test_cone_section_matches_leq(n):
-    rank = Rank(n)
-    pts = trapezoid_points(rank)
-    for b in pts:
-        for row in range(1, 2 * n + 2):
-            section = cone_section(rank, b, row)
-            expected = [a for a in pts if a.row == row and leq(a, b)]
-            assert section == expected
-            # Interior cones are never clipped: full width drop+1.
-            if row <= b.row and b.col + (b.row - row) <= 4 * n + 1 - row:
-                assert len(section) == b.row - row + 1
 
 
 def test_strip_global_examples():

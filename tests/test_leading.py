@@ -15,7 +15,7 @@ from cascade.leading import (
     is_leading_term,
     n_count,
 )
-from cascade.partitions import ColoredPartition, divides, enumerate_partitions
+from cascade.partitions import ColoredPartition, enumerate_partitions
 
 X = TrapezoidPoint(1, 1)
 Y = TrapezoidPoint(1, 2)
@@ -167,7 +167,7 @@ def test_embedding_monotonicity(n):
             bigger = ColoredPartition(
                 dict(small.parts) | {extra: small.multiplicity(extra) + 1}
             )
-            assert divides(small, bigger)
+            assert all(m <= bigger.multiplicity(p) for p, m in small.parts)
             e_big = set(embeddings(bigger, rank))
             assert e_small <= e_big
 

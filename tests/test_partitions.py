@@ -1,21 +1,13 @@
-"""Tests for colored partitions: statistics, containment, enumeration, order."""
+"""Tests for colored partitions: statistics, sub-multisets, enumeration."""
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cascade.geometry import Rank, TrapezoidPoint, trapezoid_degree, trapezoid_points
-from cascade.partitions import (
-    ColoredPartition,
-    compare,
-    divides,
-    enumerate_partitions,
-    shape_of,
-    sub_multisets,
-)
+from cascade.partitions import ColoredPartition, enumerate_partitions, sub_multisets
 
 X = TrapezoidPoint(1, 1)
 Y = TrapezoidPoint(1, 2)
@@ -59,6 +51,11 @@ def test_degree():
     pi = ColoredPartition({X: 2, TrapezoidPoint(2, 2): 1})
     assert pi.degree(degree1) == -4
     assert ColoredPartition({}).degree(degree1) == 0
+
+
+def divides(rho: ColoredPartition, pi: ColoredPartition) -> bool:
+    """Reference: True iff rho is a sub-multiset of pi."""
+    return all(m <= pi.multiplicity(p) for p, m in rho.parts)
 
 
 def test_divides_examples():
@@ -123,31 +120,6 @@ def test_sub_multisets_counts_match_generating_function(mults, length):
     assert all(a < b for a, b in zip(vectors, vectors[1:]))
 
 
-def test_shape_of_examples():
-    rank = Rank(2)
-    deg = lambda p: trapezoid_degree(rank, p)
-    pts = trapezoid_points(rank)
-    by_degree = {}
-    for p in pts:
-        by_degree.setdefault(deg(p), []).append(p)
-    pi = ColoredPartition({by_degree[-3][0]: 2, by_degree[-2][0]: 1})
-    assert shape_of(pi, deg) == (-3, -3, -2)
-    assert shape_of(ColoredPartition({}), deg) == ()
-    quad = ColoredPartition({by_degree[-1][0]: 3, by_degree[-1][1]: 1})
-    assert shape_of(quad, deg) == (-1, -1, -1, -1)
-    assert quad.degree(deg) == -4
-
-
-def test_shape_sorted_most_negative_first():
-    rank = Rank(1)
-    deg = lambda p: trapezoid_degree(rank, p)
-    pi = ColoredPartition(
-        {TrapezoidPoint(1, 1): 1, TrapezoidPoint(2, 2): 1, TrapezoidPoint(1, 3): 1}
-    )
-    # Degrees -1, -2, -3 in some order; shape lists heaviest parts first.
-    assert shape_of(pi, deg) == (-3, -2, -1)
-
-
 def test_enumerate_partitions_counts():
     region3 = trapezoid_points(Rank(1))[:3]
     got = list(enumerate_partitions(region3, 4))
@@ -173,33 +145,3 @@ def test_enumerate_partitions_deterministic_order():
     )
     first = next(iter(enumerate_partitions(region, 3)))
     assert first == ColoredPartition({region[0]: 3})
-
-
-def test_compare_constraints():
-    deg = lambda p: trapezoid_degree(Rank(1), p)
-    longer = ColoredPartition({X: 3, Y: 2})
-    shorter = ColoredPartition({X: 4})
-    assert compare(longer, shorter, deg) == -1
-    assert compare(shorter, longer, deg) == 1
-    heavy = ColoredPartition({TrapezoidPoint(1, 3): 1, X: 1})  # degrees -3, -1
-    light = ColoredPartition({Z: 1, Y: 1})  # degrees -2, -1
-    assert heavy.length == light.length and heavy.degree(deg) < light.degree(deg)
-    assert compare(heavy, light, deg) == -1
-    assert compare(heavy, heavy, deg) == 0
-
-
-def test_compare_is_total_order():
-    deg = lambda p: trapezoid_degree(Rank(1), p)
-    sample = list(enumerate_partitions(trapezoid_points(Rank(1))[:4], 3))
-    for a in sample:
-        for b in sample:
-            c_ab, c_ba = compare(a, b, deg), compare(b, a, deg)
-            assert c_ab == -c_ba
-            assert (c_ab == 0) == (a == b)
-    import functools
-
-    ordered = sorted(sample, key=functools.cmp_to_key(lambda a, b: compare(a, b, deg)))
-    for earlier, later in zip(ordered, ordered[1:]):
-        assert compare(earlier, later, deg) == -1
-    lengths = [p.length for p in ordered]
-    assert lengths == sorted(lengths, reverse=True)
