@@ -11,6 +11,7 @@ census and prints every table it produces.
 """
 
 from cascade.census import classify_support, oracle_full, support_counts, all_types
+from cascade.closed_forms import embeddings_per_support
 from cascade.geometry import Rank, TrapezoidPoint
 
 P = TrapezoidPoint
@@ -30,15 +31,18 @@ for support in examples:
     print(f"{[tuple(p) for p in support]} -> {label}")
 
 # The census: N summed over all length-four partitions, bucketed three
-# ways.  Rank two finishes in under a second.
+# ways.  Rank two finishes in under a second.  Counting distinct supports
+# never needs the partition walk: one chain-count walk on the order gives
+# the count of every type directly.
 rank = Rank(2)
 report = oracle_full(rank)
+counted = support_counts(rank)
 print(f"\ncensus at n={rank.n}: total {report.total}, "
       f"unclassified {report.unclassified}")
 
 print("\nby support type (count of partitions / distinct supports):")
 for t in all_types():
-    print(f"  {t.key():7s} {report.n_by_type[t]:6d}  on {report.sigma[t]:4d} supports")
+    print(f"  {t.key():7s} {report.n_by_type[t]:6d}  on {counted[t]:4d} supports")
 
 print("\nby total degree:")
 for degree, value in report.n_by_degree.items():
@@ -49,10 +53,9 @@ for shape, value in report.n_by_shape.items():
     if value:
         print(f"  {shape}: {value}")
 
-# Counting distinct supports never needs the partition walk: one
-# chain-count walk on the order gives the count of every type directly.
+# Every support of a type carries the same N, so the census mass of a type
+# is that coefficient times its support count.
 print("\nsupport walk cross-check at n=2:")
-counted = support_counts(rank)
 for t in all_types()[:4]:
-    assert counted[t] == report.sigma[t]
+    assert report.n_by_type[t] == embeddings_per_support(2, t) * counted[t]
     print(f"  {t.key():7s} {counted[t]} supports (matches census)")

@@ -198,14 +198,12 @@ def _pair_type(r: int, delta: str, s: int) -> SupportType | None:
 class CensusReport:
     """Exact counts from the full oracle.
 
-    sigma counts the supports of each type; n_by_type, n_by_degree and
-    n_by_shape accumulate N(pi) by support type, degree and shape; total is
-    the sum of N(pi) over every length-4 multiset on the trapezoid; and
-    unclassified is the N mass landing outside the thirteen types; a
-    complete classification leaves it at 0.
+    n_by_type, n_by_degree and n_by_shape accumulate N(pi) by support type,
+    degree and shape; total is the sum of N(pi) over every length-4 multiset
+    on the trapezoid; and unclassified is the N mass landing outside the
+    thirteen types; a complete classification leaves it at 0.
     """
 
-    sigma: dict[SupportType, int]
     n_by_type: dict[SupportType, int]
     n_by_degree: dict[int, int]
     n_by_shape: dict[tuple[int, ...], int]
@@ -213,14 +211,15 @@ class CensusReport:
     unclassified: int
 
 
-def all_shapes() -> list[tuple[int, ...]]:
-    """The 15 possible shapes of a length-4 partition, in report order.
+def all_shapes(degrees: Iterable[int]) -> list[tuple[int, ...]]:
+    """Every shape of a length-4 partition on parts of the given degrees, in
+    report order; the trapezoid's degrees (-1, -2, -3) give 15.
 
     Lightest total degree first; within a degree, lexicographic on the
     descending-absolute reading, so "2+2+1+1" precedes "3+1+1+1".
     """
     return sorted(
-        combinations_with_replacement((-3, -2, -1), 4),
+        combinations_with_replacement(sorted(set(degrees)), 4),
         key=lambda sh: (-sum(sh), tuple(-d for d in sh)),
     )
 
@@ -354,7 +353,8 @@ def _census(
     the incomparable pair and by whether the pair shares a row; pairs are
     popcounts per i; down[i] and up[i] mask the points below and above i.
     Mass goes under (type, degrees of the multiset), or under None when no
-    type applies, and is folded into the buckets once.
+    type applies, and is folded once: into the shapes on the degrees the
+    points carry, and from the shapes into total degrees.
     """
     pts = list(points)
     rows = [p.row for p in pts]
@@ -377,14 +377,12 @@ def _census(
         row_mask[row] = row_mask.get(row, 0) | 1 << x
     # Types go by their report keys, which hash fast; None is no type.
     mass: dict[tuple, int] = {}  # (key, degrees of the multiset) -> N
-    supports: dict[str | None, int] = {}
     pair_key = {  # (points above the pair, row tag, points below) -> key
         (r, delta, s): _pair_type(r, delta, s).key()
         for r in range(3) for s in range(3 - r) if r or s for delta in (SAME_ROW, DIFF_ROW)
     }
 
     def add(tag, count, multisets):
-        supports[tag] = supports.get(tag, 0) + count
         for n_pi, degs in multisets:
             mass[tag, degs] = mass.get((tag, degs), 0) + n_pi * count
 
@@ -394,7 +392,6 @@ def _census(
             for d, level in levels.items():
                 count = (mask & level).bit_count()
                 if count:
-                    supports[tag] = supports.get(tag, 0) + count
                     key = (tag, (di, dj, dk, d))
                     mass[key] = mass.get(key, 0) + n_pi * count
 
@@ -451,7 +448,7 @@ def _census(
                 fourth(None, rest, 1)
     types = {t.key(): t for t in all_types()}
     by_type = dict.fromkeys(types.values(), 0)
-    by_shape = dict.fromkeys(all_shapes(), 0)
+    by_shape = dict.fromkeys(all_shapes(degrees), 0)
     unclassified = 0
     for (tag, degs), n_pi in mass.items():
         by_shape[tuple(sorted(degs))] += n_pi
@@ -459,11 +456,10 @@ def _census(
             unclassified += n_pi
         else:
             by_type[types[tag]] += n_pi
-    by_degree = dict.fromkeys(range(-4, -13, -1), 0)
+    by_degree: dict[int, int] = {}
     for shape, v in by_shape.items():
-        by_degree[sum(shape)] += v
+        by_degree[sum(shape)] = by_degree.get(sum(shape), 0) + v
     return CensusReport(
-        sigma={t: supports.get(key, 0) for key, t in types.items()},
         n_by_type=by_type,
         n_by_degree=by_degree,
         n_by_shape=by_shape,

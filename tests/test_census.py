@@ -25,8 +25,16 @@ from cascade.census import (
     oracle_supports,
     support_counts,
 )
-from cascade.closed_forms import embeddings_per_support
-from cascade.geometry import Rank, TrapezoidPoint, leq, trapezoid_degree, trapezoid_points
+from cascade.closed_forms import dim_relation_space, dim_s_theta, embeddings_per_support
+from cascade.geometry import (
+    Rank,
+    StripPoint,
+    TrapezoidPoint,
+    leq,
+    strip_global,
+    trapezoid_degree,
+    trapezoid_points,
+)
 from cascade.leading import embeddings, is_chain
 from cascade.partitions import ColoredPartition, enumerate_partitions, sub_multisets
 
@@ -126,8 +134,6 @@ def _naive_census(points, order, deg):
     by_type = {t: 0 for t in all_types()}
     by_degree = {}
     by_shape = {}
-    sigma = {t: 0 for t in all_types()}
-    seen_supports = set()
     total = 0
     unclassified = 0
     for pi in enumerate_partitions(points, 4):
@@ -141,13 +147,10 @@ def _naive_census(points, order, deg):
             unclassified += n_pi
         else:
             by_type[tag] += n_pi
-            if pi.support not in seen_supports:
-                seen_supports.add(pi.support)
-                sigma[tag] += 1
         by_degree[pi.degree(deg)] = by_degree.get(pi.degree(deg), 0) + n_pi
         shape = shape_of(pi, deg)
         by_shape[shape] = by_shape.get(shape, 0) + n_pi
-    return total, unclassified, by_type, by_degree, by_shape, sigma
+    return total, unclassified, by_type, by_degree, by_shape
 
 
 def _census_buckets(report):
@@ -158,7 +161,6 @@ def _census_buckets(report):
         report.n_by_type,
         {d: v for d, v in report.n_by_degree.items() if v},
         {s: v for s, v in report.n_by_shape.items() if v},
-        report.sigma,
     )
 
 
@@ -193,8 +195,7 @@ class TestOracleFull:
         assert report.n_by_degree == {
             -4: 7, -5: 16, -6: 16, -7: 16, -8: 16, -9: 16, -10: 16, -11: 16, -12: 7,
         }
-        assert report.sigma[SupportType.a(2)] == 16
-        assert report.sigma[SupportType.b(1, "|")] == 11
+        assert report.n_by_type[SupportType.b(1, "|")] == 11
 
     def test_n2_frozen_per_type(self):
         report = oracle_full(Rank(2))
@@ -211,7 +212,7 @@ class TestOracleFull:
         report = oracle_full(Rank(2))
         assert list(report.n_by_type) == list(all_types())
         assert list(report.n_by_degree) == list(range(-4, -13, -1))
-        assert list(report.n_by_shape) == all_shapes()
+        assert list(report.n_by_shape) == all_shapes((-1, -2, -3))
         assert sum(report.n_by_degree.values()) == report.total
         assert sum(report.n_by_shape.values()) == report.total
         assert sum(report.n_by_type.values()) + report.unclassified == report.total
@@ -226,23 +227,50 @@ class TestOracleFull:
             oracle_full(Rank(1, 3))
 
 
-@given(st.sampled_from([2, 3]), st.booleans(), st.data())
+@given(st.sampled_from([2, 3]), st.booleans(), st.booleans(), st.data())
 @settings(max_examples=60, deadline=None)
-def test_census_walk_matches_naive_reference_on_subsets(n, flipped, data):
+def test_census_walk_matches_naive_reference_on_subsets(n, flipped, by_row_and_col, data):
     """The triple walk against sub-multisets and chains on a random subset of
-    the trapezoid or of the upside-down trapezoid."""
+    the trapezoid or of the upside-down trapezoid, under the trapezoid's
+    degrees or under -(row + col), which reaches past -3.  Each type's mass
+    is its coefficient times the support walk's count on the subset."""
     rank = Rank(n)
-    points, order, _ = _points_order_coords(n, flipped)
+    points, order, coords = _points_order_coords(n, flipped)
     subset = data.draw(
         st.lists(st.sampled_from(points), unique=True, max_size=10), label="points"
     )
-    if flipped:
+    if by_row_and_col:
+        deg = lambda p: -(p.row + p.col)
+    elif flipped:
         # Row i of the upside-down trapezoid is row 2n+2-i of the trapezoid.
         deg = lambda p: trapezoid_degree(rank, P(2 * n + 2 - p.row, p.col))
     else:
         deg = lambda p: trapezoid_degree(rank, p)
     report = census._census(subset, order, deg)
     assert _census_buckets(report) == _naive_census(subset, order, deg)
+    counted = census._support_counts([coords(p) for p in subset], 4) if subset else {}
+    for t in all_types():
+        assert report.n_by_type[t] == embeddings_per_support(2, t) * counted.get(t, 0)
+
+
+def test_census_on_a_window_of_four_strip_triangles():
+    """The strip's first four triangles at n=1, triangle d at degree -d: one
+    degree past the trapezoid.  The total is (4T - 3)R - 2V at T=4, and
+    byDegree is R at every degree but the two ends, which carry R - V."""
+    rank = Rank(1)
+    window = {
+        P(*strip_global(rank, StripPoint(d, row, col))): -d
+        for d in range(1, 5)
+        for row in range(1, 3)
+        for col in range(1, 4 - row)
+    }
+    assert len(window) == 12
+    report = census._census(list(window), leq, window.__getitem__)
+    assert _census_buckets(report) == _naive_census(list(window), leq, window.__getitem__)
+    r, v = dim_relation_space(rank), dim_s_theta(rank, 4)
+    assert report.total == 13 * r - 2 * v == 190
+    assert report.n_by_degree == {d: r - v if d in (-4, -16) else r for d in range(-4, -17, -1)}
+    assert list(report.n_by_shape) == all_shapes((-1, -2, -3, -4))
 
 
 def _points_order_coords(n: int, flipped: bool):
@@ -295,9 +323,12 @@ class TestOracleSupports:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_sigma_from_full_oracle_agrees(self, n):
+        """A type's support count, read off the full census as its mass over
+        its coefficient, equals the support walk's."""
         report = oracle_full(Rank(n))
         for t in all_types():
-            assert report.sigma[t] == oracle_supports(Rank(n), t)
+            sigma, rest = divmod(report.n_by_type[t], embeddings_per_support(2, t))
+            assert (sigma, rest) == (oracle_supports(Rank(n), t), 0)
 
     def test_n_by_type_from_supports_examples(self):
         counted = support_counts(Rank(1))
@@ -423,12 +454,13 @@ class TestOracleFlipped:
         deg = lambda p: trapezoid_degree(rank, P(2 * n + 2 - p.row, p.col))
         report = census._census(_flipped_points(n), _flipped_leq, deg)
         plain = oracle_full(rank)
+        flipped = flipped_support_counts(rank)
         assert report.total == plain.total
         assert report.n_by_degree == plain.n_by_degree
         assert report.n_by_shape == plain.n_by_shape
         for t in all_types():
             assert report.n_by_type[t] == plain.n_by_type[mirror(t)]
-            assert report.sigma[t] == plain.sigma[mirror(t)]
+            assert report.n_by_type[t] == embeddings_per_support(2, t) * flipped[t]
         assert report.unclassified == 0
 
 
@@ -488,12 +520,13 @@ class TestFamilyCounts:
 
 
 def test_all_shapes_inventory():
-    shapes = all_shapes()
+    shapes = all_shapes((-1, -2, -3))
     assert len(shapes) == 15
     assert all(len(s) == 4 for s in shapes)
     assert len(set(shapes)) == 15
     degrees = sorted({sum(s) for s in shapes})
     assert degrees == list(range(-12, -3))
+    assert shapes.index((-2, -2, -1, -1)) < shapes.index((-3, -1, -1, -1))
 
 
 def test_shape_of_examples():
