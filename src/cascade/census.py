@@ -270,6 +270,8 @@ def _support_counts(
     Since x + y is the row, the pair shares a row exactly when
     y_c = x_b + y_b - x_c.
     """
+    if not coords:  # a lone point carries no support, so its counts are all 0
+        return _support_counts([(0, 0)], size)
     lowest = (min(x for x, _ in coords), min(y for _, y in coords))
     up = _quadrant_chains(coords, size)
     counts = {SupportType.a(r): up[r][lowest] for r in range(2, size + 1)}

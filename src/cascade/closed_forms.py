@@ -3,14 +3,14 @@
 Everything here is exact integer arithmetic.  The nested sums mirror the
 displayed counting formulas bound for bound, so an empty range contributes
 exactly 0 and structurally impossible parameters need no special casing.
-Each distinct inner chain sum is evaluated once per call: by anchor row, and
-by (start, depth) inside a chain, in caches local to the call.
+Each inner sum over a contiguous range is read off running sums of g(i)
+and i * g(i); a gap chain is built bottom up, one depth at a time, by
+sum_{lo <= i < s} (s - i + 1) g(i) = (s + 1) sum g(i) - sum i g(i).
 Every division is checked: a nonzero remainder means a transcription fault,
 not a rounding issue, and raises immediately.
 """
 from __future__ import annotations
 
-from functools import cache
 from math import comb
 from typing import Callable, Sequence
 
@@ -37,123 +37,120 @@ def embeddings_per_support(k: int, t) -> int:
     return binomial(k - 1, t.r + t.s - 1)
 
 
-def _gap_chain(start: int, p: int, length: int, low: Callable[[int], int],
-               tail: Callable[[int], int], memo: dict) -> int:
-    """Sum over strictly descending tails i_p > ... > i_length below start.
+def _running_sums(g: dict[int, int], lo: int) -> tuple[dict[int, int], dict[int, int]]:
+    """Sums of g(i) and of i * g(i) over lo <= i <= s, for every row s of g,
+    whose rows ascend one by one."""
+    sums, moments, total, moment = {}, {}, 0, 0
+    for s, value in g.items():
+        if s >= lo:
+            total += value
+            moment += s * value
+        sums[s], moments[s] = total, moment
+    return sums, moments
 
-    Each step multiplies by the gap factor (i_{p-1} - i_p + 1); the innermost
-    value is fed to tail.  An exhausted range contributes 0, an already
-    complete chain (p > length) contributes tail(start).  Values for p <=
-    length are memoised on (start, p) in the caller's memo, so one memo must
-    serve exactly one (low, tail) pair.
+
+def _gap_chains(length: int, low: Callable[[int], int], tail: Callable[[int], int],
+                top: int) -> dict[int, int]:
+    """Sum over strictly descending tails i_2 > ... > i_length below each
+    start row s, for s from the lowest bound up to top.
+
+    Depth length + 1 is tail(s).  Depth p is sum_{low(p) <= i < s}
+    (s - i + 1) g(i) over depth p + 1, for every s at once from the
+    running sums; an exhausted range contributes 0.
     """
-    if p > length:
-        return tail(start)
-    total = memo.get((start, p))
-    if total is None:
-        total = 0
-        for i in range(low(p), start):
-            total += (start - i + 1) * _gap_chain(i, p + 1, length, low, tail, memo)
-        memo[start, p] = total
-    return total
+    g = {s: tail(s) for s in range(min(map(low, range(1, length + 1))), top + 1)}
+    for p in range(length, 1, -1):
+        sums, moments = _running_sums(g, low(p))
+        g = {s: (s + 1) * sums.get(s - 1, 0) - moments.get(s - 1, 0) for s in g}
+    return g
 
 
-def _one(_: int) -> int:
-    return 1
+def _upper_anchored(n: int, r: int, low: Callable[[int], int]) -> dict[int, int]:
+    """Chains hanging below the top edge, by anchor row a in [2, 2n+2-r]:
+    i_1 in [a + low(1), 2n+1], weighted by the row width (4n+1-i_1), gap
+    factors with i_p >= a + low(p), and the landing gap (i_r - a + 1).  The
+    anchor only shifts every row, i = a + j, so one table in j serves all
+    anchors: upper(a) = sum_{low(1) <= j <= 2n+1-a} (4n+1-a-j) g(j)."""
+    sums, moments = _running_sums(_gap_chains(r, low, lambda j: j + 1, 2 * n - 1), low(1))
+    return {
+        a: (4 * n + 1 - a) * sums[2 * n + 1 - a] - moments[2 * n + 1 - a]
+        for a in range(2, 2 * n + 3 - r)
+    }
 
 
-def _upper_chain(n: int, length: int, low: Callable[[int], int], anchor: int) -> int:
-    """Chains hanging below the top edge: i_1 in [low(1), 2n+1], weighted by
-    the row width (4n+1-i_1), gap factors, and the landing gap to the anchor."""
-    memo: dict = {}
-    total = 0
-    for i1 in range(low(1), 2 * n + 2):
-        total += (4 * n + 1 - i1) * _gap_chain(
-            i1, 2, length, low, lambda last: last - anchor + 1, memo
-        )
-    return total
-
-
-def _anchored_chains(length: int, low: Callable[[int], int]) -> Callable[[int], int]:
-    """Chains starting at or below an anchor row, by anchor: l_1 in
-    [low(1), anchor], weighted by the gap (anchor - l_1 + 1) and then
+def _anchored_chains(length: int, low: Callable[[int], int], top: int) -> dict[int, int]:
+    """Chains starting at or below an anchor row, by anchor up to top: l_1
+    in [low(1), anchor], weighted by the gap (anchor - l_1 + 1) and then
     descending gap factors.  Neither low nor the tail depends on the anchor,
-    so every anchor shares one gap memo."""
-    memo: dict = {}
-
-    def chain(anchor: int) -> int:
-        total = 0
-        for l1 in range(low(1), anchor + 1):
-            total += (anchor - l1 + 1) * _gap_chain(l1, 2, length, low, _one, memo)
-        return total
-
-    return cache(chain)
+    so every anchor reads one table."""
+    sums, moments = _running_sums(_gap_chains(length, low, lambda _: 1, top), low(1))
+    return {a: (a + 1) * sums[a] - moments[a] for a in sums}
 
 
 def _sum_a(n: int, r: int) -> int:
-    memo: dict = {}
-    total = 0
-    for i1 in range(r, 2 * n + 2):
-        total += (4 * n + 1 - i1) * _gap_chain(i1, 2, r, lambda p: r - p + 1, _one, memo)
-    return total
+    g = _gap_chains(r, lambda p: r - p + 1, lambda _: 1, 2 * n + 1)
+    return sum((4 * n + 1 - i1) * g[i1] for i1 in range(r, 2 * n + 2))
 
 
 def _sum_b_same(n: int, r: int) -> int:
-    upper = cache(lambda a: _upper_chain(n, r, lambda p: a + r - p, a))
+    upper = _upper_anchored(n, r, lambda p: r - p)
     total = 0
     for d in range(1, 2 * n + 2 - r):
         for ell in range(1, 2 * n + 3 - d - r):
-            total += upper(ell + d)
+            total += upper[ell + d]
     return total
 
 
 def _sum_c_same(n: int, r: int) -> int:
-    lower = _anchored_chains(r, lambda p: r - p + 1)
+    lower = _anchored_chains(r, lambda p: r - p + 1, 2 * n + 1)
     total = 0
     for d in range(1, 2 * n + 2 - r):
         for ell in range(d + r, 2 * n + 2):
-            total += (4 * n + 1 - ell - d) * lower(ell - d)
+            total += (4 * n + 1 - ell - d) * lower[ell - d]
     return total
 
 
 def _sum_d_same(n: int, r: int, s: int) -> int:
-    upper = cache(lambda a: _upper_chain(n, r, lambda p: a - r + p, a))
-    lower = _anchored_chains(s, lambda q: s - q + 1)
+    upper = _upper_anchored(n, r, lambda p: p - r)
+    lower = _anchored_chains(s, lambda q: s - q + 1, 2 * n + 1)
     total = 0
     for d in range(1, (2 * n + 2 - r - s) // 2 + 1):
         for ell in range(s + d, 2 * n + 3 - r - d):
-            total += upper(ell + d) * lower(ell - d)
+            total += upper[ell + d] * lower[ell - d]
     return total
 
 
 def _sum_b_diff(n: int, r: int) -> int:
-    upper = cache(lambda a: _upper_chain(n, r, lambda p: a + r - p, a))
+    # The range over ell of upper(ell + d) is a difference of running sums.
+    above, _ = _running_sums(_upper_anchored(n, r, lambda p: r - p), 2)
     total = 0
     for d in range(1, 2 * n + 1 - r):
         for h in range(1, 2 * n + 2 - d - r):
-            for ell in range(h + 1, 2 * n + 3 - d - r):
-                total += upper(ell + d)
+            total += above[2 * n + 2 - r] - above[h + d]
     return 2 * total
 
 
 def _sum_c_diff(n: int, r: int) -> int:
-    lower = _anchored_chains(r, lambda p: r - p + 1)
+    # With j = ell - d - h the weight is (4n+1-2d-h) - j for r <= j <= 2n+1-d-h.
+    sums, moments = _running_sums(
+        _anchored_chains(r, lambda p: r - p + 1, 2 * n + 1), r
+    )
     total = 0
     for d in range(1, 2 * n + 1 - r):
         for h in range(1, 2 * n + 2 - d - r):
-            for ell in range(d + h + r, 2 * n + 2):
-                total += (4 * n + 1 - ell - d) * lower(ell - d - h)
+            top = 2 * n + 1 - d - h
+            total += (4 * n + 1 - 2 * d - h) * sums[top] - moments[top]
     return 2 * total
 
 
 def _sum_d_diff(n: int, r: int, s: int) -> int:
-    upper = cache(lambda a: _upper_chain(n, r, lambda p: a - r + p, a))
-    lower = _anchored_chains(s, lambda q: s - q + 1)
+    upper = _upper_anchored(n, r, lambda p: p - r)
+    lower = _anchored_chains(s, lambda q: s - q + 1, 2 * n + 1)
     total = 0
     for d in range(1, (2 * n + 1 - r - s) // 2 + 1):
         for h in range(1, 2 * n + 3 - 2 * d - r - s):
             for ell in range(s + d + h, 2 * n + 3 - r - d):
-                total += upper(ell + d) * lower(ell - d - h)
+                total += upper[ell + d] * lower[ell - d - h]
     return 2 * total
 
 

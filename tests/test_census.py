@@ -248,9 +248,9 @@ def test_census_walk_matches_naive_reference_on_subsets(n, flipped, by_row_and_c
         deg = lambda p: trapezoid_degree(rank, p)
     report = census._census(subset, order, deg)
     assert _census_buckets(report) == _naive_census(subset, order, deg)
-    counted = census._support_counts([coords(p) for p in subset], 4) if subset else {}
+    counted = census._support_counts([coords(p) for p in subset], 4)
     for t in all_types():
-        assert report.n_by_type[t] == embeddings_per_support(2, t) * counted.get(t, 0)
+        assert report.n_by_type[t] == embeddings_per_support(2, t) * counted[t]
 
 
 def test_census_on_a_window_of_four_strip_triangles():
@@ -337,6 +337,13 @@ class TestOracleSupports:
         assert n_by_type(SupportType.b(1, "|")) == 11
         assert n_by_type(SupportType.a(3)) == 8 * 6 == 48
 
+    def test_walk_on_the_empty_set_counts_zero(self):
+        """No point, no support: every type the walk knows counts 0."""
+        for size in (2, 3, 4, 5):
+            counts = census._support_counts([], size)
+            assert counts.keys() == census._support_counts(census._coords(Rank(1)), size).keys()
+            assert not any(counts.values()), size
+
     def test_one_walk_holds_the_thirteen_types(self):
         assert support_counts(Rank(2)).keys() == set(all_types())
         assert flipped_support_counts(Rank(2)).keys() == set(all_types())
@@ -369,7 +376,7 @@ def test_support_count_matches_classified_subsets(n, flipped, t, data):
     candidate subset under the cone order."""
     points, order, coords = _points_order_coords(n, flipped)
     subset = data.draw(
-        st.lists(st.sampled_from(points), unique=True, min_size=1, max_size=12),
+        st.lists(st.sampled_from(points), unique=True, max_size=12),
         label="subset",
     )
     expected = sum(

@@ -1,6 +1,8 @@
 """Tests for the closed-form counts and representation-theoretic dimensions."""
 from __future__ import annotations
 
+from functools import cache
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -77,6 +79,92 @@ class TestSupportCountClosed:
             assert support_count_closed(rank, t) == oracle_supports(rank, t), key
 
 
+# The displayed nested sums, transcribed term by term: every gap chain is a
+# recursion over its rows, memoised on (start, depth) so that n=12 stays
+# fast.  support_count_closed must equal it for every type and rank.
+def _gap_chain(start, p, length, low, tail, memo):
+    if p > length:
+        return tail(start)
+    if (start, p) not in memo:
+        memo[start, p] = sum(
+            (start - i + 1) * _gap_chain(i, p + 1, length, low, tail, memo)
+            for i in range(low(p), start)
+        )
+    return memo[start, p]
+
+
+def _literal_support_count(n, t):
+    def top_edge(length, low, tail):
+        memo = {}
+        return sum(
+            (4 * n + 1 - i1) * _gap_chain(i1, 2, length, low, tail, memo)
+            for i1 in range(low(1), 2 * n + 2)
+        )
+
+    def upper_chain(r, low):
+        return cache(lambda a: top_edge(r, lambda p: low(a, p), lambda last: last - a + 1))
+
+    def anchored_chains(length):
+        memo, low = {}, lambda p: length - p + 1
+        return cache(lambda anchor: sum(
+            (anchor - l1 + 1) * _gap_chain(l1, 2, length, low, lambda _: 1, memo)
+            for l1 in range(low(1), anchor + 1)
+        ))
+
+    r, s = t.r, t.s
+    if t.family == "A":
+        return top_edge(r, lambda p: r - p + 1, lambda _: 1)
+    if t.family == "B":
+        upper = upper_chain(r, lambda a, p: a + r - p)
+        if t.delta == "|":
+            return sum(
+                upper(ell + d)
+                for d in range(1, 2 * n + 2 - r) for ell in range(1, 2 * n + 3 - d - r)
+            )
+        return 2 * sum(
+            upper(ell + d)
+            for d in range(1, 2 * n + 1 - r)
+            for h in range(1, 2 * n + 2 - d - r)
+            for ell in range(h + 1, 2 * n + 3 - d - r)
+        )
+    if t.family == "C":
+        lower = anchored_chains(r)
+        if t.delta == "|":
+            return sum(
+                (4 * n + 1 - ell - d) * lower(ell - d)
+                for d in range(1, 2 * n + 2 - r) for ell in range(d + r, 2 * n + 2)
+            )
+        return 2 * sum(
+            (4 * n + 1 - ell - d) * lower(ell - d - h)
+            for d in range(1, 2 * n + 1 - r)
+            for h in range(1, 2 * n + 2 - d - r)
+            for ell in range(d + h + r, 2 * n + 2)
+        )
+    upper, lower = upper_chain(r, lambda a, p: a - r + p), anchored_chains(s)
+    if t.delta == "|":
+        return sum(
+            upper(ell + d) * lower(ell - d)
+            for d in range(1, (2 * n + 2 - r - s) // 2 + 1)
+            for ell in range(s + d, 2 * n + 3 - r - d)
+        )
+    return 2 * sum(
+        upper(ell + d) * lower(ell - d - h)
+        for d in range(1, (2 * n + 1 - r - s) // 2 + 1)
+        for h in range(1, 2 * n + 3 - 2 * d - r - s)
+        for ell in range(s + d + h, 2 * n + 3 - r - d)
+    )
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_running_sums_match_literal_sums(k):
+    for n in range(1, 13):
+        for t in all_types():
+            assert support_count_closed(Rank(n, k), t) == _literal_support_count(n, t), (
+                n,
+                t.key(),
+            )
+
+
 _ROW_TAGS = st.sampled_from(["|", "||"])
 _GENERIC_TYPES = st.one_of(
     st.builds(SupportType.a, st.integers(min_value=2, max_value=5)),
@@ -93,9 +181,16 @@ _GENERIC_TYPES = st.one_of(
 
 @given(st.integers(min_value=1, max_value=3), _GENERIC_TYPES)
 @settings(max_examples=100, deadline=None)
-def test_memoised_sum_matches_walk_on_generic_types(n, t):
-    """The anchor and gap-chain caches against the support walk, any shape."""
+def test_closed_sum_matches_walk_on_generic_types(n, t):
+    """The running-sum evaluation against the support walk, any shape."""
     assert support_count_closed(Rank(n), t) == oracle_supports(Rank(n), t)
+
+
+@given(st.integers(min_value=1, max_value=12), _GENERIC_TYPES)
+@settings(max_examples=100, deadline=None)
+def test_closed_sum_matches_literal_sums_on_generic_types(n, t):
+    """The running sums against the term-by-term nested sums, any shape."""
+    assert support_count_closed(Rank(n), t) == _literal_support_count(n, t)
 
 
 class TestPolynomials:
