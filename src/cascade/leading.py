@@ -13,7 +13,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from . import geometry
 from .geometry import Rank
-from .partitions import ColoredPartition, sub_multisets
+from .partitions import ColoredPartition, distinct_picks
 
 # A leading term is an ordinary ColoredPartition constrained by
 # is_leading_term; no separate wrapper type is needed.
@@ -75,10 +75,9 @@ def enumerate_leading_terms(
 
 
 def embeddings(pi: ColoredPartition, rank: Rank) -> list[LeadingTerm]:
-    """E(pi): the leading terms dividing pi."""
-    return [
-        rho for rho in sub_multisets(pi, rank.k + 1) if is_leading_term(rho, rank)
-    ]
+    """E(pi): the leading terms dividing pi, its length-(k+1) picks with chain support."""
+    picks = distinct_picks(pi, rank.k + 1)
+    return [ColoredPartition.from_points(pts) for pts in picks if is_chain(set(pts))]
 
 
 def n_count(pi: ColoredPartition, rank: Rank) -> int:

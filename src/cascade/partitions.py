@@ -7,9 +7,8 @@ trapezoid or from the strip; the degree takes a degree function.
 """
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Mapping
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, groupby
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 Point = Hashable
@@ -17,9 +16,10 @@ DegreeFn = Callable[[Point], int]
 
 
 class ColoredPartition:
-    """Immutable multiset of points with positive multiplicities."""
+    """Immutable multiset of points with positive multiplicities: its parts,
+    sorted by point, and their length are stored once, at construction."""
 
-    __slots__ = ("parts", "_map")
+    __slots__ = ("parts", "length")
 
     def __init__(self, parts: Mapping | Iterable[tuple[Point, int]] = ()):
         items = parts.items() if isinstance(parts, Mapping) else parts
@@ -29,17 +29,15 @@ class ColoredPartition:
                 raise ValueError(f"multiplicity must be positive, got {mult}")
             acc[point] = acc.get(point, 0) + mult
         self.parts = tuple(sorted(acc.items()))
-        self._map = acc
+        self.length = sum(acc.values())
 
     @classmethod
     def from_points(cls, points: Iterable[Point]) -> "ColoredPartition":
-        """Build a partition by counting a sequence of points."""
-        return cls(Counter(points))
-
-    @property
-    def length(self) -> int:
-        """Number of parts counted with multiplicity."""
-        return sum(m for _, m in self.parts)
+        """Count a sequence of points: a multiplicity is a run's length once sorted."""
+        pi = cls.__new__(cls)
+        pi.length = len(pts := sorted(points))
+        pi.parts = tuple((p, len(list(run))) for p, run in groupby(pts))
+        return pi
 
     @property
     def support(self) -> tuple[Point, ...]:
@@ -47,7 +45,7 @@ class ColoredPartition:
         return tuple(p for p, _ in self.parts)
 
     def multiplicity(self, point: Point) -> int:
-        return self._map.get(point, 0)
+        return dict(self.parts).get(point, 0)
 
     def degree(self, degree_fn: DegreeFn) -> int:
         """Multiplicity-weighted sum of part degrees; 0 for the unit partition."""
@@ -71,20 +69,22 @@ class ColoredPartition:
         return f"ColoredPartition({{{inner}}})"
 
 
+def distinct_picks(pi: ColoredPartition, length: int) -> Iterator[tuple[Point, ...]]:
+    """Each sub-multiset of pi of the given length >= 0 once, as sorted points: the
+    distinct picks of pi's sorted parts, reversed into ascending multiplicity vectors."""
+    return reversed(dict.fromkeys(combinations(pi.expanded(), length)))
+
+
 def sub_multisets(pi: ColoredPartition, length: int) -> list[ColoredPartition]:
     """All sub-multisets of pi with the given length, each exactly once.
 
-    The number of results is the coefficient of z^length in the product of
-    (1 + z + ... + z^m) over the part multiplicities m.  They come in
-    lexicographic order of their multiplicity vectors over pi's support.
+    One per distinct pick, in lexicographic order of multiplicity vectors over
+    pi's support; their number is the coefficient of z^length in the product
+    of (1 + z + ... + z^m) over the part multiplicities m.
     """
     if length < 0 or length > pi.length:
         return []
-    return [
-        ColoredPartition([(p, take) for (p, _), take in zip(pi.parts, takes) if take])
-        for takes in product(*(range(m + 1) for _, m in pi.parts))
-        if sum(takes) == length
-    ]
+    return [ColoredPartition.from_points(pts) for pts in distinct_picks(pi, length)]
 
 
 def enumerate_partitions(

@@ -32,7 +32,7 @@ from cascade.closed_forms import (
     weyl_dim,
 )
 from cascade.geometry import Rank, leq, trapezoid_points
-from cascade.leading import embeddings
+from cascade.leading import embeddings, n_count
 from cascade.partitions import enumerate_partitions
 
 N9_TOTAL = 53905698
@@ -196,9 +196,10 @@ def test_criterion_10_per_support_inventories():
             supports_checked += 1
     elapsed = time.perf_counter() - start
     assert supports_checked > 0
+    assert elapsed < 2
     print(
         f"\nPASS criterion 10: per-support inventories exhaustive at n=2, "
-        f"{supports_checked} supports ({elapsed:.1f}s)"
+        f"{supports_checked} supports ({elapsed:.1f}s, budget 2s)"
     )
 
 
@@ -248,3 +249,21 @@ def test_criterion_13_relations_degree_by_degree(census_runs):
             else:
                 assert value == r, (n, shape)
     print("\nPASS criterion 13: byDegree and byShape follow R and V, n=1..5")
+
+
+def test_criterion_14_reference_path_totals():
+    """N summed over every length-4 partition by its literal definition:
+    N(pi) = #E(pi) - 1, with E(pi) the chain-supported length-3 sub-multisets."""
+    start = time.perf_counter()
+    sums = {}
+    for n in (1, 2):
+        rank = Rank(n)
+        partitions = list(enumerate_partitions(trapezoid_points(rank), 4))
+        sums[n] = (len(partitions), sum(n_count(pi, rank) for pi in partitions))
+    elapsed = time.perf_counter() - start
+    assert sums == {1: (495, 126), 2: (40920, 3990)}
+    assert elapsed < 3
+    print(
+        "\nPASS criterion 14: reference path sums N to 126 over 495 partitions "
+        f"at n=1 and 3990 over 40920 at n=2 ({elapsed:.2f}s, budget 3s)"
+    )

@@ -1,12 +1,15 @@
 """Tests for colored partitions: statistics, sub-multisets, enumeration."""
 from __future__ import annotations
 
+from collections import Counter
+from itertools import product
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cascade.geometry import Rank, TrapezoidPoint, trapezoid_degree, trapezoid_points
+from cascade.leading import embeddings, is_leading_term
 from cascade.partitions import ColoredPartition, enumerate_partitions, sub_multisets
 
 X = TrapezoidPoint(1, 1)
@@ -118,6 +121,53 @@ def test_sub_multisets_counts_match_generating_function(mults, length):
     # Lexicographic in the multiplicity vector over pi's support.
     vectors = [tuple(rho.multiplicity(p) for p in pi.support) for rho in got]
     assert all(a < b for a, b in zip(vectors, vectors[1:]))
+
+
+def _literal_sub_multisets(pi: ColoredPartition, length: int) -> list[ColoredPartition]:
+    """Reference: filter the product of the multiplicity ranges by total, so
+    the results come in lexicographic order of their multiplicity vectors."""
+    if length < 0 or length > pi.length:
+        return []
+    return [
+        ColoredPartition([(p, take) for (p, _), take in zip(pi.parts, takes) if take])
+        for takes in product(*(range(m + 1) for _, m in pi.parts))
+        if sum(takes) == length
+    ]
+
+
+RANK2_POINTS = trapezoid_points(Rank(2))
+
+
+@given(
+    st.lists(st.integers(min_value=1, max_value=4), min_size=0, max_size=5),
+    st.integers(min_value=-1, max_value=22),
+)
+@settings(max_examples=200, deadline=None)
+def test_sub_multisets_match_literal_product_filter(mults, length):
+    pi = ColoredPartition(dict(zip(RANK2_POINTS, mults)))
+    assert sub_multisets(pi, length) == _literal_sub_multisets(pi, length)
+
+
+@given(
+    st.lists(st.sampled_from(RANK2_POINTS), min_size=0, max_size=8),
+    st.sampled_from([2, 3]),
+)
+@settings(max_examples=200, deadline=None)
+def test_embeddings_match_literal_leading_term_filter(points, k):
+    rank = Rank(2, k)
+    pi = ColoredPartition(Counter(points))
+    assert embeddings(pi, rank) == [
+        rho for rho in _literal_sub_multisets(pi, k + 1) if is_leading_term(rho, rank)
+    ]
+
+
+@given(st.lists(st.sampled_from(RANK2_POINTS[:6]), min_size=0, max_size=10))
+@settings(max_examples=200, deadline=None)
+def test_from_points_matches_counted_constructor(points):
+    got, expected = ColoredPartition.from_points(points), ColoredPartition(Counter(points))
+    assert got.parts == expected.parts
+    assert got.length == expected.length == len(points)
+    assert hash(got) == hash(expected)
 
 
 def test_enumerate_partitions_counts():
