@@ -10,7 +10,7 @@ from collections import Counter
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cascade import census, closed_forms
 from cascade.census import (
@@ -164,6 +164,27 @@ def _census_buckets(report):
     )
 
 
+# p <= x and x <= q, but p and q are incomparable.
+_NOT_TRANSITIVE = (
+    [P(1, 1), P(2, 1), P(3, 1)], frozenset({(P(1, 1), P(2, 1)), (P(2, 1), P(3, 1))})
+)
+
+
+@st.composite
+def _antisymmetric_relations(draw):
+    """Up to seven distinct points and a relation on them that holds in at
+    most one direction for each pair; it need not be transitive."""
+    points = draw(
+        st.lists(st.builds(P, st.integers(1, 3), st.integers(1, 4)), unique=True, max_size=7)
+    )
+    related = frozenset(
+        side
+        for a, b in combinations(points, 2)
+        if (side := draw(st.sampled_from([None, (a, b), (b, a)])))
+    )
+    return points, related
+
+
 class TestOracleFull:
     @pytest.mark.parametrize("n", [1, 2])
     def test_matches_naive_reference(self, n):
@@ -175,18 +196,22 @@ class TestOracleFull:
         assert _census_buckets(report) == expected
         assert report.unclassified == 0
 
-    def test_unclassified_bucket_is_walked(self):
-        """A relation that is not transitive: p <= x and x <= q, but p and q
-        are incomparable.  x lies neither above nor below both members of
-        the pair, so the N = 1 of the multiset x x p q has no type, next to
-        the 3 + 3 of the two comparable pairs."""
-        p, x, q = P(1, 1), P(2, 1), P(3, 1)
-        related = {(p, x), (x, q)}
+    @given(_antisymmetric_relations())
+    @example(_NOT_TRANSITIVE)
+    @settings(max_examples=200, deadline=None)
+    def test_unclassified_bucket_is_walked(self, relation):
+        """The census against sub-multisets and chains under a random
+        antisymmetric relation, transitive or not.  In the example p <= x and
+        x <= q, but p and q are incomparable: x lies neither above nor below
+        both members of the pair, so the N = 1 of the multiset x x p q has
+        no type, next to the 3 + 3 of the two comparable pairs."""
+        points, related = relation
         order = lambda a, b: (a, b) in related
         deg = lambda point: -point.row
-        report = census._census([p, x, q], order, deg)
-        assert _census_buckets(report) == _naive_census([p, x, q], order, deg)
-        assert (report.unclassified, report.total) == (1, 7)
+        report = census._census(points, order, deg)
+        assert _census_buckets(report) == _naive_census(points, order, deg)
+        if relation == _NOT_TRANSITIVE:
+            assert (report.unclassified, report.total) == (1, 7)
 
     def test_n1_frozen_values(self):
         report = oracle_full(Rank(1))

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 import subprocess
@@ -321,3 +322,40 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[-1].startswith("pass ")
+
+
+# The exit code, the SHA-256 of stdout and the exact stderr of fixed runs,
+# taken from the reports as they stood before the full census walked chains
+# and incomparable pairs.  A change that alters any report byte fails here.
+# Do not regenerate a digest to let a rewrite pass: a report that is meant
+# to change needs its own reasoned update.
+GOLDEN_REPORTS = [
+    (("verify", "--n", "1..5", "--oracle-cap", "5", "--format", "json"), 0,
+     "286274a36fcf11c8c69b0a2d3e6fe29948bc4a7ba86b8de8e572acadcce26f5a", ""),
+    (("verify", "--n", "1..4"), 0,
+     "c6b534b10e7a9c7ff3ce29c84ce947ead59d4f39801b6ccd4ae97d3a6f6be8f8", ""),
+    (("verify", "--n", "1..4", "--format", "csv"), 0,
+     "2638dbd4ddacfd66f291845c95adb4fbd0a3963fae8c4dc04ab5fcab30d190be", ""),
+    (("count", "--n", "4", "--format", "json"), 0,
+     "50f4e1f5bc02853cd90da08362248522e71c778ce4d5b5e818e0268f465b41c3", ""),
+    (("count", "--n", "4", "--format", "csv"), 0,
+     "2b44a97e0434c108d9e4e0e4b93f9bdcde8d1180718cae07dee452e847d55593", ""),
+    (("count", "--n", "4", "--format", "text"), 0,
+     "d5556306510b13692735c6354af62515c2b2a12ba76733cb4ac05d08f5dc8bc3", ""),
+    (("count", "--n", "9", "--types-only", "--format", "json"), 0,
+     "cf71f345f0d330c36856b0906cea52b71a3f1a95775cd65ff2016fb49f597c2d", ""),
+    (("count", "--n", "5"), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: n=5 exceeds the full-oracle cap 4; use --types-only or raise --oracle-cap\n"),
+    (("print-array", "--n", "2", "--coords"), 0,
+     "20fcbfe48bfb7627df03957f010917c492b6cfbc598629da9d43607132c2babc", ""),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest, err", GOLDEN_REPORTS, ids=[" ".join(g[0]) for g in GOLDEN_REPORTS]
+)
+def test_golden_reports(capsys, argv, code, digest, err):
+    """Every report of these runs is byte-identical to the pinned one."""
+    got_code, out, got_err = run_cli(capsys, *argv)
+    assert (got_code, hashlib.sha256(out.encode()).hexdigest(), got_err) == (code, digest, err)
