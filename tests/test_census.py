@@ -255,10 +255,12 @@ class TestOracleFull:
 @given(st.sampled_from([2, 3]), st.booleans(), st.booleans(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_census_walk_matches_naive_reference_on_subsets(n, flipped, by_row_and_col, data):
-    """The triple walk against sub-multisets and chains on a random subset of
-    the trapezoid or of the upside-down trapezoid, under the trapezoid's
-    degrees or under -(row + col), which reaches past -3.  Each type's mass
-    is its coefficient times the support walk's count on the subset."""
+    """The census walk, from chains of three points and from incomparable
+    pairs with one point comparable to both, against sub-multisets and
+    chains on a random subset of the trapezoid or of the upside-down
+    trapezoid, under the trapezoid's degrees or under -(row + col), which
+    reaches past -3.  Each type's mass is its coefficient times the support
+    walk's count on the subset."""
     rank = Rank(n)
     points, order, coords = _points_order_coords(n, flipped)
     subset = data.draw(
@@ -480,8 +482,9 @@ class TestOracleFlipped:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_full_census_mirrors_oracle_full(self, n):
-        """The triple walk on the whole upside-down trapezoid, with the degree
-        of row 2n+2-i, is the plain census with every type mirrored."""
+        """The census walk, from chains and incomparable pairs, on the whole
+        upside-down trapezoid with the degree of row 2n+2-i is the plain
+        census with every type mirrored."""
         rank = Rank(n)
         deg = lambda p: trapezoid_degree(rank, P(2 * n + 2 - p.row, p.col))
         report = census._census(_flipped_points(n), _flipped_leq, deg)

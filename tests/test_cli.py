@@ -324,11 +324,10 @@ def test_module_entry_point():
     assert proc.stdout.splitlines()[-1].startswith("pass ")
 
 
-# The exit code, the SHA-256 of stdout and the exact stderr of fixed runs,
-# taken from the reports as they stood before the full census walked chains
-# and incomparable pairs.  A change that alters any report byte fails here.
-# Do not regenerate a digest to let a rewrite pass: a report that is meant
-# to change needs its own reasoned update.
+# The exit code, the SHA-256 of stdout and the exact stderr of fixed runs, so
+# a change that alters any report byte fails here.  Do not regenerate a
+# digest to let a rewrite pass: a report that is meant to change needs its
+# own reasoned update.
 GOLDEN_REPORTS = [
     (("verify", "--n", "1..5", "--oracle-cap", "5", "--format", "json"), 0,
      "286274a36fcf11c8c69b0a2d3e6fe29948bc4a7ba86b8de8e572acadcce26f5a", ""),
