@@ -40,14 +40,23 @@ def _parse_n(text: str) -> tuple[int, ...]:
 
 
 def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
+    """Report the error on stderr and return exit code 2; a closed stderr
+    loses the message, never the code, and never sends it to stdout."""
+    if sys.stderr is not None:
+        try:
+            print(f"error: {message}", file=sys.stderr)
+        except OSError:
+            pass
     return 2
 
 
 def _emit(text: str, out: str | None) -> int:
     """Write the report to stdout or to the --out file.
 
-    Returns 0, or 2 with a reported error when the report cannot be written."""
+    Returns 0, or 2 with a reported error when the report cannot be written,
+    also when stdout was closed at start (Python then sets it to None)."""
+    if out is None and sys.stdout is None:
+        return _usage_error("cannot write report to stdout: stream is closed")
     try:
         if out is None:
             sys.stdout.write(text)

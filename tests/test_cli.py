@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -322,6 +323,32 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[-1].startswith("pass ")
+
+
+def run_module_with_closed_fd(fd: int, *argv: str) -> subprocess.CompletedProcess:
+    """Run the module entry point with file descriptor fd closed at start."""
+    return subprocess.run(
+        [sys.executable, "-m", "cascade.cli", *argv],
+        capture_output=True,
+        text=True,
+        preexec_fn=lambda: os.close(fd),
+    )
+
+
+@pytest.mark.parametrize("argv", [("verify", "--n", "1"), ("print-array", "--n", "1")])
+def test_closed_stdout_is_an_unwritable_report(argv):
+    """With fd 1 closed Python sets sys.stdout to None: exit 2, one error line."""
+    proc = run_module_with_closed_fd(1, *argv)
+    assert (proc.returncode, proc.stderr) == (
+        2, "error: cannot write report to stdout: stream is closed\n"
+    )
+
+
+def test_closed_stderr_keeps_the_usage_error_code():
+    """A usage error with fd 2 closed still exits 2, with no traceback and no
+    error text on stdout."""
+    proc = run_module_with_closed_fd(2, "count", "--n", "5")
+    assert (proc.returncode, proc.stdout) == (2, "")
 
 
 # The exit code, the SHA-256 of stdout and the exact stderr of fixed runs, so

@@ -1,6 +1,7 @@
 """Tests for leading terms, the embedding set E(pi), and N(pi)."""
 from __future__ import annotations
 
+import random
 from itertools import combinations, product
 
 import pytest
@@ -15,7 +16,7 @@ from cascade.leading import (
     is_leading_term,
     n_count,
 )
-from cascade.partitions import ColoredPartition, enumerate_partitions
+from cascade.partitions import ColoredPartition, distinct_picks, enumerate_partitions
 
 X = TrapezoidPoint(1, 1)
 Y = TrapezoidPoint(1, 2)
@@ -145,6 +146,26 @@ def test_chain_partitions_embed_once_per_chain_point(n):
                 pi = ColoredPartition(zip(subset, mults))
                 assert len(embeddings(pi, rank)) == size
                 assert n_count(pi, rank) == size - 1
+
+
+def test_embeddings_match_uncached_chain_filter_across_ranks():
+    """The chain test of embeddings is cached per support for the whole process.
+    Partitions drawn at n = 1, 2, 3, each read at its own and every larger rank
+    in a shuffled order, revisit supports first tested at another rank."""
+    rng = random.Random(0)
+    regions = {n: trapezoid_points(Rank(n)) for n in (1, 2, 3)}
+    for _ in range(300):
+        n = rng.choice((1, 2, 3))
+        pi = ColoredPartition.from_points(rng.choices(regions[n], k=rng.randint(0, 7)))
+        expected = [
+            ColoredPartition.from_points(p)
+            for p in distinct_picks(pi, 3)
+            if is_chain(set(p))
+        ]
+        ranks = [Rank(m) for m in range(n, 4)]
+        rng.shuffle(ranks)
+        for rank in ranks:
+            assert embeddings(pi, rank) == expected
 
 
 def test_pair_family_has_exactly_two_embeddings():

@@ -170,6 +170,44 @@ def test_from_points_matches_counted_constructor(points):
     assert hash(got) == hash(expected)
 
 
+RANK3 = Rank(3)
+RANK3_POINTS = trapezoid_points(RANK3)
+
+
+@given(
+    st.lists(st.tuples(st.sampled_from(RANK3_POINTS), st.integers(1, 3)), max_size=8),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=200, deadline=None)
+def test_representations_agree_with_counter_reference(pairs, rng):
+    """A Mapping, (point, mult) pairs with repeats and a shuffled expansion
+    build one partition, whose statistics are those of a Counter."""
+    counts = Counter()
+    for point, mult in pairs:
+        counts[point] += mult
+    expansion = list(counts.elements())
+    rng.shuffle(expansion)
+    built = [
+        ColoredPartition(dict(counts)),
+        ColoredPartition(pairs),
+        ColoredPartition.from_points(expansion),
+    ]
+    for pi in built:
+        assert pi == built[0]
+        assert hash(pi) == hash(built[0])
+        assert pi.parts == tuple(sorted(counts.items()))
+        assert pi.support == tuple(sorted(counts))
+        assert pi.length == len(expansion)
+        assert all(pi.multiplicity(p) == counts[p] for p in RANK3_POINTS)
+        assert pi.degree(lambda p: trapezoid_degree(RANK3, p)) == sum(
+            m * trapezoid_degree(RANK3, p) for p, m in counts.items()
+        )
+        assert pi.expanded() == tuple(sorted(expansion))
+        if expansion:
+            # One more copy of a part: a different partition on the same support.
+            assert pi != ColoredPartition.from_points(expansion + expansion[:1])
+
+
 def test_enumerate_partitions_counts():
     region3 = trapezoid_points(Rank(1))[:3]
     got = list(enumerate_partitions(region3, 4))
