@@ -4,10 +4,10 @@ Two oracles ground the library.  The full oracle sums N(pi) over every
 length-4 multiset on the trapezoid in one process and buckets it by support
 type, degree and shape.  It reaches each support from its definition: a
 chain of three points, or an incomparable pair and one point comparable to
-both (8 820 and 20 196 sets at n=4, 29 016 in all).  The fourth point of a
-support is counted by popcounts of bitmasks, split by degree and by the
-side of the pair it lies on, so no support of four points is visited or
-classified on its own.
+both (8 820 and 20 196 sets at n=4, 29 016 in all).  Each such head counts
+its completing points once, by popcounts of one bitmask per degree, split
+by the side of the pair they lie on, so no support of four points is
+visited or classified on its own.
 The support oracle counts the supports of every type of at most k+2
 points in one walk on the cone order itself: each incomparable pair
 contributes the number of chains above it times the number below it, for
@@ -341,31 +341,31 @@ def oracle_flipped(rank: Rank, t: SupportType) -> int:
     return _support_counts(_flipped_coords(rank), t.size)[t]
 
 
-def _census(
-    points: Sequence[TrapezoidPoint], leq: LeqFn, degree_fn: Callable[[TrapezoidPoint], int]
-) -> CensusReport:
-    """Sum N over every length-4 multiset on the points, bucketed.
+def _walk(
+    points: Sequence[TrapezoidPoint], leq: LeqFn, degrees: Sequence[int]
+) -> dict[tuple, int]:
+    """N summed over every length-4 multiset on the points, under (type key
+    or None when no type applies, degrees of the multiset).
 
     N(pi) = max(e - 1, 0), where e counts the length-3 sub-multisets of pi
-    whose support is a chain.  e >= 2 needs a support with at most one
-    incomparable pair: a comparable pair carries N = 1 on each of its three
-    patterns, a chain of three N = 2 on each, a chain of four N = 3, and
-    three or four points around one incomparable pair N = 1 on the pattern
-    that keeps the pair simple.  The walk counts the pairs i < j by
-    popcounts per i; takes each chain i < j < k and counts its fourth points
-    l > k by popcounts of the tail mask; and takes each incomparable pair
-    i < c and each x comparable to both, and counts the fourth points y > x
-    comparable to all three, split into those above both members of the
-    pair, those below both and the rest, which no type takes.  Popcounts go
-    by degree; down[i], up[i] and comp[i] mask the points below, above and
-    comparable to i.  Mass goes under (type, degrees of the multiset), or
-    under None when no type applies, and is folded once: into the shapes on
-    the degrees the points carry, and from the shapes into total degrees.
+    whose support is a chain: a chain of r points carries N = r - 1 on each
+    multiset on it, and three or four points around one incomparable pair
+    N = 1 on the pattern that keeps the pair simple.  Each support is a head
+    and one later completing point: a point i (A2) or a chain i < j (A3) or
+    i < j < k (A4), completed by the points comparable to all of it; or an
+    incomparable pair i < c and a point x comparable to both, completed by
+    the y > x comparable to all three, split into those above both members
+    of the pair, those below both and the rest, which no type takes.
+    tally adds a head's completing points by degree, popcounts of its mask
+    on each level, to counters per (type key, head degrees); no mask is
+    stored, so memory stays one short list per key.  The counters expand
+    once at the end: a chain head draws the 4 - r repeats over its
+    positions, so two points of equal degree still count twice, and a pair
+    head has one pattern.  down[i], up[i] and comp[i] mask the points
+    below, above and comparable to i.
     """
     pts = list(points)
-    degrees = [degree_fn(p) for p in pts]
-    down = [0] * len(pts)
-    up = [0] * len(pts)
+    down, up = [0] * len(pts), [0] * len(pts)
     for i, a in enumerate(pts):
         for j in range(i + 1, len(pts)):
             if leq(a, pts[j]):
@@ -375,40 +375,36 @@ def _census(
                 down[i] |= 1 << j
                 up[j] |= 1 << i
     comp = [d | u for d, u in zip(down, up)]
+    later = [c & -(2 << i) for i, c in enumerate(comp)]  # comparable and after i
     full = (1 << len(pts)) - 1
     levels: dict[int, int] = {}  # degree -> mask of the points of that degree
     for x, d in enumerate(degrees):
         levels[d] = levels.get(d, 0) | 1 << x
-    # Types go by their report keys, which hash fast; None is no type.
-    mass: dict[tuple, int] = {}  # (key, degrees of the multiset) -> N
+    level_masks = list(levels.values())
+    tallies: dict[tuple, list[int]] = {}  # (key, head degrees) -> counts by level
+    table: dict[tuple, int] = {}  # (type key or None, degrees of the multiset) -> N
     pair_key = {  # (points above the pair, row tag, points below) -> key
         (r, delta, s): _pair_type(r, delta, s).key()
         for r in range(3) for s in range(3 - r) if r or s for delta in (SAME_ROW, DIFF_ROW)
     }
 
-    def fourth(tag, mask, n_pi, three):
-        # The supports of the three points and one l in mask, by l's degree.
-        if mask:
-            for d, level in levels.items():
-                count = (mask & level).bit_count()
-                if count:
-                    key = (tag, (*three, d))
-                    mass[key] = mass.get(key, 0) + n_pi * count
+    def tally(head, mask):
+        counts = tallies.setdefault(head, [0] * len(level_masks))
+        for li, level in enumerate(level_masks):
+            counts[li] += (mask & level).bit_count()
 
     for i in range(len(comp)):
         ci, di = comp[i], degrees[i]
-        for d, level in levels.items():
-            count = (ci & level & -(2 << i)).bit_count()
-            if count:
-                for degs in ((di, di, di, d), (di, di, d, d), (di, d, d, d)):
-                    mass["A2", degs] = mass.get(("A2", degs), 0) + count
-        for j in _indices(ci & -(2 << i)):
-            cj, dj = comp[j], degrees[j]
-            for k in _indices(ci & cj & -(2 << j)):
-                ck, dk = comp[k], degrees[k]
-                for degs in ((di, di, dj, dk), (di, dj, dj, dk), (di, dj, dk, dk)):
-                    mass["A3", degs] = mass.get(("A3", degs), 0) + 2
-                fourth("A4", ci & cj & ck & -(2 << k), 3, (di, dj, dk))
+        if later[i]:
+            tally(("A2", (di,)), later[i])
+        for j in _indices(later[i]):
+            cij, dj = ci & later[j], degrees[j]
+            if cij:
+                tally(("A3", (di, dj)), cij)
+            for k in _indices(cij):
+                mask = cij & later[k]
+                if mask:
+                    tally(("A4", (di, dj, degrees[k])), mask)
         for c in _indices(~ci & full & -(2 << i)):
             dc = degrees[c]
             delta = SAME_ROW if pts[i].row == pts[c].row else DIFF_ROW
@@ -419,23 +415,37 @@ def _census(
                 r, s = (above >> x) & 1, (below >> x) & 1
                 tag = pair_key.get((r, delta, s))
                 key = (tag, (dx, dx, di, dc))
-                mass[key] = mass.get(key, 0) + 1
-                three, rest = (di, dc, dx), both & comp[x] & -(2 << x)
+                table[key] = table.get(key, 0) + 1
+                head, rest = (di, dc, dx), both & later[x]
                 if tag:
-                    fourth(pair_key[r + 1, delta, s], rest & above, 1, three)
-                    fourth(pair_key[r, delta, s + 1], rest & below, 1, three)
+                    if rest & above:
+                        tally((pair_key[r + 1, delta, s], head), rest & above)
+                    if rest & below:
+                        tally((pair_key[r, delta, s + 1], head), rest & below)
                     rest &= ~(above | below)
-                fourth(None, rest, 1, three)
-    types = {t.key(): t for t in all_types()}
-    by_type = dict.fromkeys(types.values(), 0)
+                if rest:
+                    tally((None, head), rest)
+    for (tag, head), counts in tallies.items():
+        n_pi = len(head) if tag in TYPE_KEYS[:3] else 1  # r - 1 on a chain of r
+        for d, count in zip(levels, counts):
+            if count:
+                degs = (*head, d)
+                for reps in combinations_with_replacement(range(len(degs)), 4 - len(degs)):
+                    key = (tag, (*degs, *(degs[p] for p in reps)))
+                    table[key] = table.get(key, 0) + n_pi * count
+    return table
+
+
+def _fold(table: dict[tuple, int], degrees: Iterable[int]) -> CensusReport:
+    """The report of a walk's table: mass by type (None is unclassified), by
+    shape on the given degrees and, from the shapes, by total degree."""
+    by_tag = dict.fromkeys((*TYPE_KEYS, None), 0)
     by_shape = dict.fromkeys(all_shapes(degrees), 0)
-    unclassified = 0
-    for (tag, degs), n_pi in mass.items():
+    for (tag, degs), n_pi in table.items():
         by_shape[tuple(sorted(degs))] += n_pi
-        if tag is None:
-            unclassified += n_pi
-        else:
-            by_type[types[tag]] += n_pi
+        by_tag[tag] += n_pi
+    unclassified = by_tag.pop(None)
+    by_type = {t: by_tag[t.key()] for t in all_types()}
     by_degree: dict[int, int] = {}
     for shape, v in by_shape.items():
         by_degree[sum(shape)] = by_degree.get(sum(shape), 0) + v
@@ -469,4 +479,5 @@ def oracle_full(rank: Rank) -> CensusReport:
     if rank.k != 2:
         raise ValueError(f"the full oracle walks length-4 multisets; needs k=2, got k={rank.k}")
     points = geometry.trapezoid_points(rank)
-    return _census(points, geometry.leq, lambda p: geometry.trapezoid_degree(rank, p))
+    degrees = [geometry.trapezoid_degree(rank, p) for p in points]
+    return _fold(_walk(points, geometry.leq, degrees), degrees)

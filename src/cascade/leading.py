@@ -95,5 +95,7 @@ def embeddings(pi: ColoredPartition, rank: Rank) -> list[LeadingTerm]:
 
 
 def n_count(pi: ColoredPartition, rank: Rank) -> int:
-    """N(pi) = max(#E(pi) - 1, 0)."""
-    return max(len(embeddings(pi, rank)) - 1, 0)
+    """N(pi) = max(#E(pi) - 1, 0), counting the chain picks that embeddings
+    would build, without building them."""
+    picks = distinct_picks(pi, rank.k + 1)
+    return max(sum(1 for pts in picks if _is_chain_support(frozenset(pts))) - 1, 0)

@@ -130,10 +130,12 @@ class TestClassifySupport:
 def _naive_census(points, order, deg):
     """Reference full census over the given points under an order, built
     directly on sub-multisets and chains: N(pi) is the number of length-3
-    sub-multisets with chain support, minus one, floored at zero."""
+    sub-multisets with chain support, minus one, floored at zero.  joint
+    holds the mass by (type key or None, shape) together."""
     by_type = {t: 0 for t in all_types()}
     by_degree = {}
     by_shape = {}
+    joint = {}
     total = 0
     unclassified = 0
     for pi in enumerate_partitions(points, 4):
@@ -150,17 +152,32 @@ def _naive_census(points, order, deg):
         by_degree[pi.degree(deg)] = by_degree.get(pi.degree(deg), 0) + n_pi
         shape = shape_of(pi, deg)
         by_shape[shape] = by_shape.get(shape, 0) + n_pi
-    return total, unclassified, by_type, by_degree, by_shape
+        key = (tag and tag.key(), shape)
+        joint[key] = joint.get(key, 0) + n_pi
+    return total, unclassified, by_type, by_degree, by_shape, joint
 
 
-def _census_buckets(report):
-    """A census report in the layout of _naive_census, empty buckets dropped."""
+def _census(points, order, deg):
+    """The census walk's table on the points and the report it folds to."""
+    degrees = [deg(p) for p in points]
+    table = census._walk(points, order, degrees)
+    return table, census._fold(table, degrees)
+
+
+def _census_buckets(report, table):
+    """A census report and its walk's table summed over sorted degrees, in
+    the layout of _naive_census, empty buckets dropped."""
+    joint = {}
+    for (tag, degs), n_pi in table.items():
+        key = (tag, tuple(sorted(degs)))
+        joint[key] = joint.get(key, 0) + n_pi
     return (
         report.total,
         report.unclassified,
         report.n_by_type,
         {d: v for d, v in report.n_by_degree.items() if v},
         {s: v for s, v in report.n_by_shape.items() if v},
+        {k: v for k, v in joint.items() if v},
     )
 
 
@@ -189,11 +206,10 @@ class TestOracleFull:
     @pytest.mark.parametrize("n", [1, 2])
     def test_matches_naive_reference(self, n):
         rank = Rank(n)
-        report = oracle_full(rank)
-        expected = _naive_census(
-            trapezoid_points(rank), leq, lambda p: trapezoid_degree(rank, p)
-        )
-        assert _census_buckets(report) == expected
+        points, deg = trapezoid_points(rank), lambda p: trapezoid_degree(rank, p)
+        table, report = _census(points, leq, deg)
+        assert report == oracle_full(rank)
+        assert _census_buckets(report, table) == _naive_census(points, leq, deg)
         assert report.unclassified == 0
 
     @given(_antisymmetric_relations())
@@ -208,8 +224,8 @@ class TestOracleFull:
         points, related = relation
         order = lambda a, b: (a, b) in related
         deg = lambda point: -point.row
-        report = census._census(points, order, deg)
-        assert _census_buckets(report) == _naive_census(points, order, deg)
+        table, report = _census(points, order, deg)
+        assert _census_buckets(report, table) == _naive_census(points, order, deg)
         if relation == _NOT_TRANSITIVE:
             assert (report.unclassified, report.total) == (1, 7)
 
@@ -273,8 +289,8 @@ def test_census_walk_matches_naive_reference_on_subsets(n, flipped, by_row_and_c
         deg = lambda p: trapezoid_degree(rank, P(2 * n + 2 - p.row, p.col))
     else:
         deg = lambda p: trapezoid_degree(rank, p)
-    report = census._census(subset, order, deg)
-    assert _census_buckets(report) == _naive_census(subset, order, deg)
+    table, report = _census(subset, order, deg)
+    assert _census_buckets(report, table) == _naive_census(subset, order, deg)
     counted = census._support_counts([coords(p) for p in subset], 4)
     for t in all_types():
         assert report.n_by_type[t] == embeddings_per_support(2, t) * counted[t]
@@ -292,8 +308,8 @@ def test_census_on_a_window_of_four_strip_triangles():
         for col in range(1, 4 - row)
     }
     assert len(window) == 12
-    report = census._census(list(window), leq, window.__getitem__)
-    assert _census_buckets(report) == _naive_census(list(window), leq, window.__getitem__)
+    table, report = _census(list(window), leq, window.__getitem__)
+    assert _census_buckets(report, table) == _naive_census(list(window), leq, window.__getitem__)
     r, v = dim_relation_space(rank), dim_s_theta(rank, 4)
     assert report.total == 13 * r - 2 * v == 190
     assert report.n_by_degree == {d: r - v if d in (-4, -16) else r for d in range(-4, -17, -1)}
@@ -421,7 +437,8 @@ def test_walks_build_no_region(monkeypatch):
     def no_census(*args):
         raise AssertionError("a support walk ran the full census")
 
-    monkeypatch.setattr(census, "_census", no_census)
+    monkeypatch.setattr(census, "_walk", no_census)
+    monkeypatch.setattr(census, "_fold", no_census)
     support_counts(Rank(3))
     flipped_support_counts(Rank(3))
     oracle_supports(Rank(3), SupportType.d(1, "|", 1))
@@ -487,7 +504,7 @@ class TestOracleFlipped:
         census with every type mirrored."""
         rank = Rank(n)
         deg = lambda p: trapezoid_degree(rank, P(2 * n + 2 - p.row, p.col))
-        report = census._census(_flipped_points(n), _flipped_leq, deg)
+        _, report = _census(_flipped_points(n), _flipped_leq, deg)
         plain = oracle_full(rank)
         flipped = flipped_support_counts(rank)
         assert report.total == plain.total

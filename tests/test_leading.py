@@ -166,6 +166,7 @@ def test_embeddings_match_uncached_chain_filter_across_ranks():
         rng.shuffle(ranks)
         for rank in ranks:
             assert embeddings(pi, rank) == expected
+            assert n_count(pi, rank) == max(len(expected) - 1, 0)
 
 
 def test_pair_family_has_exactly_two_embeddings():
