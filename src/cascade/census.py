@@ -10,20 +10,21 @@ by the side of the pair they lie on, so no support of four points is
 visited or classified on its own.
 The support oracle counts the supports of every type of at most k+2
 points in one walk on the cone order itself: each incomparable pair
-contributes the number of chains above it times the number below it, for
-every pair of chain sizes and both row tags at once.  The cone order is a
-2-D dominance order, so chains are counted in quadrants of a grid by suffix
-sums, no candidate is built and it scales to much larger ranks.  The same
-walk on the upside-down trapezoid, in dominance coordinates the trapezoid
-negated and shifted by (0, 2n+2), counts each type as its mirror: a
-consistency check of the walk under the reversed order, not a second
-geometry.  The walks consult no closed form.
+contributes the chains above it times those below it.  The cone order is
+a 2-D dominance order, so each corner of a grid packs the chains of every
+size in its quadrant into one integer, one product per pair counts all
+pairs of sizes, no candidate is built and it scales to much larger ranks.
+The same walk on the upside-down trapezoid, in dominance coordinates the
+trapezoid negated and shifted by (0, 2n+2), counts each type as its
+mirror: a consistency check of the walk under the reversed order, not a
+second geometry.  The walks consult no closed form.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import geometry
@@ -227,32 +228,30 @@ def all_shapes(degrees: Iterable[int]) -> list[tuple[int, ...]]:
 
 
 def _quadrant_chains(
-    coords: Sequence[tuple[int, int]], size: int
-) -> list[dict[tuple[int, int], int]]:
+    coords: Sequence[tuple[int, int]], size: int, stride: int
+) -> dict[tuple[int, int], int]:
     """Chains of each size 0..size in every upper quadrant of a dominance order.
 
-    The points are distinct (x, y) pairs ordered by a <= b exactly when
-    x_a <= x_b and y_a <= y_b.  Table r maps every corner (X, Y) of the
-    bounding grid to the number of r-chains inside {x >= X, y >= Y}.  A
-    chain lies there exactly when its lowest point does, so each step
-    counts the chains one point longer by their lowest point p: the chains
-    in p's quadrant that do not already start at p.  2-D suffix sums of
-    those counts give the next table.
+    Points are distinct (x, y), a <= b when x_a <= x_b and y_a <= y_b.  Each
+    corner (X, Y) of the bounding grid maps to one int whose slot r, the bits
+    from r*stride, counts the r-chains in {x >= X, y >= Y}.  The chains
+    starting at p are p under a chain above p, so a sweep down each column
+    adds them, one slot up, to the quadrant right of it; an empty quadrant
+    holds the empty chain, 1.
     """
     xs = range(min(x for x, _ in coords), max(x for x, _ in coords) + 1)
     ys = range(min(y for _, y in coords), max(y for _, y in coords) + 1)
-    tables = [{(x, y): 1 for x in xs for y in ys}]  # the empty chain
-    ends = dict.fromkeys(coords, 0)
-    for _ in range(size):
-        ends = {p: tables[-1][p] - ends[p] for p in coords}
-        quadrant = {}
-        for x in reversed(xs):
-            column = 0
-            for y in reversed(ys):
-                column += ends.get((x, y), 0)
-                quadrant[x, y] = column + quadrant.get((x + 1, y), 0)
-        tables.append(quadrant)
-    return tables
+    points = set(coords)
+    cut = (1 << (size + 1) * stride) - 1  # drops the chains longer than size
+    quadrant = {}
+    for x in reversed(xs):
+        column = 0  # chains whose lowest point is in this column, at y or above
+        for y in reversed(ys):
+            right = quadrant.get((x + 1, y), 1)
+            if (x, y) in points:
+                column += (column + right) << stride & cut
+            quadrant[x, y] = column + right
+    return quadrant
 
 
 def _support_counts(
@@ -260,51 +259,49 @@ def _support_counts(
 ) -> dict[SupportType, int]:
     """Count the supports of every type of at most size points in one walk.
 
-    A(r) is a chain of r points.  A B, C or D support is one incomparable
-    pair, a chain of a points above both and a chain of b points below both
-    (B has b = 0, C a = 0); transitivity makes every such set a support, and
-    its incomparable pair is unique, so each support is counted once.  An
-    incomparable pair has x_b < x_c and y_c < y_b; the points above both
-    dominate the corner (x_c, y_b) and the points below both are dominated
-    by (x_b, y_c).  For each column pair a sweep up the y axis sums the
-    lower chains of the c points passed, for every (a, b) with
-    1 <= a + b <= size - 2 at once, so the work is O(columns^2 * rows).
-    Since x + y is the row, the pair shares a row exactly when
-    y_c = x_b + y_b - x_c.
+    A(r) is a chain of r points.  B, C and D supports are an incomparable
+    pair, a chain of a points above both and of b below both (B has b = 0,
+    C a = 0); the pair is unique, so each is counted once.  A pair has
+    x_b < x_c and y_c < y_b: the points above both dominate (x_c, y_b),
+    those below both are dominated by (x_b, y_c), and it shares a row
+    exactly when y_c = x_b + y_b - x_c.  For each column pair a sweep up y
+    sums the lower chains of the c points passed, O(columns^2 * rows).
+    Upper chains lie w bits apart and lower ones (size + 1) * w, so a product
+    puts (a, b) in slot a + (size + 1) * b.  A slot counts distinct sets of
+    at most 2 * size of the m points, fewer than C(m + 2 * size, 2 * size),
+    and same <= total in each, so no slot carries or borrows.
     """
     if not coords:  # a lone point carries no support, so its counts are all 0
         return _support_counts([(0, 0)], size)
+    w = comb(len(coords) + 2 * size, 2 * size).bit_length()
+    slot = (1 << w) - 1
     lowest = (min(x for x, _ in coords), min(y for _, y in coords))
-    up = _quadrant_chains(coords, size)
-    counts = {SupportType.a(r): up[r][lowest] for r in range(2, size + 1)}
+    up = _quadrant_chains(coords, size, w)
+    counts = {SupportType.a(r): up[lowest] >> r * w & slot for r in range(2, size + 1)}
     # Chains below (X, Y) are the chains above (-X, -Y) in the negated order.
-    down = _quadrant_chains([(-x, -y) for x, y in coords], size - 2)
-    patterns = [(a, b) for a in range(size - 1) for b in range(size - 1 - a) if a or b]
-    total = dict.fromkeys(patterns, 0)
-    same = dict.fromkeys(patterns, 0)
+    down = _quadrant_chains([(-x, -y) for x, y in coords], size - 2, (size + 1) * w)
+    total = same = 0
     points = set(coords)
     xs = sorted({x for x, _ in coords})
     ys = range(lowest[1], max(y for _, y in coords) + 1)
     for i, xb in enumerate(xs):
         for xc in xs[i + 1 :]:
-            passed = [0] * (size - 1)  # lower chains by size, c points with y_c < y
+            passed = 0  # lower chains of the c points with y_c < y
             for y in ys:
                 if (xb, y) in points:
+                    above = up[xc, y]
+                    total += above * passed
                     yc = xb + y - xc
-                    corner, low = (xc, y), (-xb, -yc)
-                    pair = (xc, yc) in points
-                    for a, b in patterns:
-                        above = up[a][corner]
-                        total[a, b] += above * passed[b]
-                        if pair:
-                            same[a, b] += above * down[b][low]
+                    if (xc, yc) in points:
+                        same += above * down[-xb, -yc]
                 if (xc, y) in points:
-                    low = -xb, -y
-                    for b, chains in enumerate(down):
-                        passed[b] += chains[low]
-    for a, b in patterns:
-        counts[_pair_type(a, SAME_ROW, b)] = same[a, b]
-        counts[_pair_type(a, DIFF_ROW, b)] = total[a, b] - same[a, b]
+                    passed += down[-xb, -y]
+    for a in range(size - 1):
+        for b in range(size - 1 - a):
+            if a or b:
+                shift = (a + (size + 1) * b) * w
+                counts[_pair_type(a, SAME_ROW, b)] = same >> shift & slot
+                counts[_pair_type(a, DIFF_ROW, b)] = (total - same) >> shift & slot
     return counts
 
 

@@ -16,10 +16,6 @@ from . import geometry
 from .geometry import Rank
 from .partitions import ColoredPartition, distinct_picks
 
-# A leading term is an ordinary ColoredPartition constrained by
-# is_leading_term; no separate wrapper type is needed.
-LeadingTerm = ColoredPartition
-
 LeqFn = Callable[[object, object], bool]
 
 
@@ -63,7 +59,7 @@ def _chains(region: Sequence, max_size: int) -> Iterator[tuple]:
 
 def enumerate_leading_terms(
     rank: Rank, region: Sequence
-) -> Iterator[LeadingTerm]:
+) -> Iterator[ColoredPartition]:
     """Every leading term supported in region, exactly once.
 
     Chains of size r carry C(k, r-1) terms each, one per composition of k+1
@@ -84,7 +80,7 @@ def _is_chain_support(support: frozenset) -> bool:
     return is_chain(support)
 
 
-def embeddings(pi: ColoredPartition, rank: Rank) -> list[LeadingTerm]:
+def embeddings(pi: ColoredPartition, rank: Rank) -> list[ColoredPartition]:
     """E(pi): the leading terms dividing pi, its length-(k+1) picks with chain
     support; each distinct support is tested pairwise once per process."""
     picks = distinct_picks(pi, rank.k + 1)

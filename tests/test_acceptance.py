@@ -66,7 +66,8 @@ def test_criterion_02_rank_nine_support_walk():
         times[n] = time.perf_counter() - start
     assert totals[9] == N9_TOTAL
     assert totals[12] == N12_TOTAL
-    assert times[9] < 2
+    assert times[9] < 0.5
+    assert times[12] < 1
     print(
         f"\nPASS criterion 2: n=9 walk total {totals[9]} in {times[9]:.1f}s, "
         f"n=12 total {totals[12]} in {times[12]:.1f}s"
@@ -108,14 +109,15 @@ def test_criterion_04_closed_sums_match_walks():
             t.key(),
         )
     start = time.perf_counter()
-    for n in (*range(1, 17), 20, 24):
+    for n in range(1, 25):
         counted = support_counts(Rank(n))
         for t in all_types():
             assert closed[n, t] == counted[t], (n, t.key())
     elapsed = time.perf_counter() - start
+    assert elapsed < 6
     print(
         "\nPASS criterion 4: closed nested sums match support walks, "
-        f"13 types x n=1..16, 20 and 24 ({elapsed:.1f}s); all 13 closed sums for "
+        f"13 types x n=1..24 ({elapsed:.1f}s, budget 6s); all 13 closed sums for "
         f"n=1..24 in {sweep:.2f}s (budget 1s)"
     )
 
@@ -204,11 +206,17 @@ def test_criterion_10_per_support_inventories():
 
 
 def test_criterion_11_up_down_symmetry():
-    for n in range(1, 13):
+    start = time.perf_counter()
+    for n in range(1, 17):
         plain, flipped = support_counts(Rank(n)), flipped_support_counts(Rank(n))
         for t in all_types():
             assert flipped[t] == plain[mirror(t)], (n, t.key())
-    print("\nPASS criterion 11: flipped-region walks mirror plain walks, n=1..12")
+    elapsed = time.perf_counter() - start
+    assert elapsed < 3
+    print(
+        "\nPASS criterion 11: flipped-region walks mirror plain walks, "
+        f"n=1..16 ({elapsed:.1f}s, budget 3s)"
+    )
 
 
 def test_criterion_12_deterministic_output(tmp_path):
