@@ -1,13 +1,13 @@
 """Brute-force census of embedding counts.
 
 Two oracles ground the library.  The full oracle sums N(pi) over every
-length-4 multiset on the trapezoid in one process and buckets it by support
-type, degree and shape.  It reaches each support from its definition: a
-chain of three points, or an incomparable pair and one point comparable to
-both (8 820 and 20 196 sets at n=4, 29 016 in all).  Each such head counts
-its completing points once, by popcounts of one bitmask per degree, split
-by the side of the pair they lie on, so no support of four points is
-visited or classified on its own.
+length-4 multiset on the trapezoid in one process into one table, N by
+support type and shape (its sorted degrees), folded into the report.  It
+reaches each support from its definition, as a head and the points
+completing it: a chain of one to three points, an incomparable pair, or
+the pair and one point comparable to both.  Popcounts of one bitmask per
+degree count them, so no support of four points is visited or classified
+on its own.
 The support oracle counts the supports of every type of at most k+2
 points in one walk on the cone order itself: each incomparable pair
 contributes the chains above it times those below it.  The cone order is
@@ -162,9 +162,9 @@ def classify_support(
     splits the remaining points into those above both and those below both
     (each is then automatically a chain), giving B, C or D.  Anything else,
     including a bare pair and sets with two incomparable pairs, carries no
-    second embedding and stays unclassified.
+    second embedding and stays unclassified.  A repeated point counts once.
     """
-    pts = list(points)
+    pts = list(dict.fromkeys(points))
     pair = None
     for i, a in enumerate(pts):
         for b in pts[i + 1 :]:
@@ -341,24 +341,24 @@ def oracle_flipped(rank: Rank, t: SupportType) -> int:
 def _walk(
     points: Sequence[TrapezoidPoint], leq: LeqFn, degrees: Sequence[int]
 ) -> dict[tuple, int]:
-    """N summed over every length-4 multiset on the points, under (type key
-    or None when no type applies, degrees of the multiset).
+    """N summed over every length-4 multiset on the points, by (type key or
+    None when no type applies, shape: the multiset's degrees sorted).
 
     N(pi) = max(e - 1, 0), where e counts the length-3 sub-multisets of pi
     whose support is a chain: a chain of r points carries N = r - 1 on each
     multiset on it, and three or four points around one incomparable pair
     N = 1 on the pattern that keeps the pair simple.  Each support is a head
-    and one later completing point: a point i (A2) or a chain i < j (A3) or
-    i < j < k (A4), completed by the points comparable to all of it; or an
-    incomparable pair i < c and a point x comparable to both, completed by
-    the y > x comparable to all three, split into those above both members
-    of the pair, those below both and the rest, which no type takes.
-    tally adds a head's completing points by degree, popcounts of its mask
-    on each level, to counters per (type key, head degrees); no mask is
-    stored, so memory stays one short list per key.  The counters expand
-    once at the end: a chain head draws the 4 - r repeats over its
-    positions, so two points of equal degree still count twice, and a pair
-    head has one pattern.  down[i], up[i] and comp[i] mask the points
+    and one completing point: a point i (A2) or a chain i < j (A3) or
+    i < j < k (A4), completed by the later points comparable to all of it;
+    an incomparable pair i < c, completed by a point x on one side of it:
+    above both, below both, or comparable to both but neither (no type; only
+    a non-transitive relation has it); or the pair and such an x, completed
+    by the y > x comparable to all three, split alike.
+    tally counts a head's completing points on each level (degree) by
+    popcount, under (type key, head degrees).  Their expansion is the
+    table's only writer: a chain head spreads its 4 - r repeats over all
+    positions, so two points of equal degree still count twice; a pair head
+    repeats its last point.  down[i], up[i] and comp[i] mask the points
     below, above and comparable to i.
     """
     pts = list(points)
@@ -379,7 +379,6 @@ def _walk(
         levels[d] = levels.get(d, 0) | 1 << x
     level_masks = list(levels.values())
     tallies: dict[tuple, list[int]] = {}  # (key, head degrees) -> counts by level
-    table: dict[tuple, int] = {}  # (type key or None, degrees of the multiset) -> N
     pair_key = {  # (points above the pair, row tag, points below) -> key
         (r, delta, s): _pair_type(r, delta, s).key()
         for r in range(3) for s in range(3 - r) if r or s for delta in (SAME_ROW, DIFF_ROW)
@@ -405,41 +404,42 @@ def _walk(
         for c in _indices(~ci & full & -(2 << i)):
             dc = degrees[c]
             delta = SAME_ROW if pts[i].row == pts[c].row else DIFF_ROW
-            both = ci & comp[c]
-            above, below = up[i] & up[c], down[i] & down[c]
-            for x in _indices(both):
-                dx = degrees[x]
-                r, s = (above >> x) & 1, (below >> x) & 1
+            both, above, below = ci & comp[c], up[i] & up[c], down[i] & down[c]
+            for r, s, side in ((1, 0, above), (0, 1, below), (0, 0, both ^ above ^ below)):
                 tag = pair_key.get((r, delta, s))
-                key = (tag, (dx, dx, di, dc))
-                table[key] = table.get(key, 0) + 1
-                head, rest = (di, dc, dx), both & later[x]
-                if tag:
-                    if rest & above:
-                        tally((pair_key[r + 1, delta, s], head), rest & above)
-                    if rest & below:
-                        tally((pair_key[r, delta, s + 1], head), rest & below)
-                    rest &= ~(above | below)
-                if rest:
-                    tally((None, head), rest)
+                if side:
+                    tally((tag, (di, dc)), side)
+                for x in _indices(side):
+                    head, rest = (di, dc, degrees[x]), both & later[x]
+                    if tag:
+                        if rest & above:
+                            tally((pair_key[r + 1, delta, s], head), rest & above)
+                        if rest & below:
+                            tally((pair_key[r, delta, s + 1], head), rest & below)
+                        rest &= ~(above | below)
+                    if rest:
+                        tally((None, head), rest)
+    table: dict[tuple, int] = {}  # (type key or None, shape) -> N
     for (tag, head), counts in tallies.items():
-        n_pi = len(head) if tag in TYPE_KEYS[:3] else 1  # r - 1 on a chain of r
+        chain = tag in TYPE_KEYS[:3]
+        n_pi = len(head) if chain else 1  # r - 1 on a chain of r
         for d, count in zip(levels, counts):
             if count:
                 degs = (*head, d)
-                for reps in combinations_with_replacement(range(len(degs)), 4 - len(degs)):
-                    key = (tag, (*degs, *(degs[p] for p in reps)))
+                pool = degs if chain else (d,)  # a pair head repeats its last point
+                for extra in combinations_with_replacement(pool, 4 - len(degs)):
+                    key = (tag, tuple(sorted((*degs, *extra))))
                     table[key] = table.get(key, 0) + n_pi * count
     return table
 
 
 def _fold(table: dict[tuple, int], degrees: Iterable[int]) -> CensusReport:
-    """The report of a walk's table: mass by type (None is unclassified), by
-    shape on the given degrees and, from the shapes, by total degree."""
+    """The report of a walk's (type, shape) table: mass by type (None is
+    unclassified), by shape on the given degrees and by total degree."""
     by_tag = dict.fromkeys((*TYPE_KEYS, None), 0)
     by_shape = dict.fromkeys(all_shapes(degrees), 0)
-    for (tag, degs), n_pi in table.items():
-        by_shape[tuple(sorted(degs))] += n_pi
+    for (tag, shape), n_pi in table.items():
+        by_shape[shape] += n_pi
         by_tag[tag] += n_pi
     unclassified = by_tag.pop(None)
     by_type = {t: by_tag[t.key()] for t in all_types()}

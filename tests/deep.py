@@ -1,0 +1,111 @@
+"""The deep lane: re-runnable mutants of the program, beside Tier-1.
+
+Each entry of MUTANTS is a deliberate fault: a file under the repository
+root, an exact old text that occurs once in it, the new text that replaces
+it and the tests that must catch it.  For each entry the script copies the
+tree to a temporary directory, applies the entry there and runs its tests
+with pytest.  The mutant is killed when a test fails and survives when all
+pass; a survivor is a missing test.  The script exits 1 if any mutant
+survives or cannot be run (its old text is gone, or pytest ends in an error
+rather than a test failure).
+
+    python3 tests/deep.py                 # every entry
+    python3 tests/deep.py NAME [NAME ...]  # the named entries
+
+pytest does not collect this file.  tests/test_deep.py checks that each old
+text occurs exactly once in today's source, so a refactor carries the
+catalogue along.
+"""
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+CENSUS = "src/cascade/census.py"
+NAIVE = "tests/test_census.py::TestOracleFull::test_matches_naive_reference"
+UNCLASSIFIED = "tests/test_census.py::TestOracleFull::test_unclassified_bucket_is_walked"
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, relative to the repository root
+
+
+MUTANTS: tuple[Mutant, ...] = (
+    # The census walk's pair heads: one tally per side, expanded under the shape.
+    Mutant(
+        "pair-head-spread-like-chain", CENSUS,
+        "pool = degs if chain else (d,)", "pool = degs",
+        (NAIVE,),
+    ),
+    Mutant(
+        "pair-sides-swapped", CENSUS,
+        "((1, 0, above), (0, 1, below),", "((1, 0, below), (0, 1, above),",
+        (NAIVE,),
+    ),
+    Mutant(
+        "pair-neither-side-dropped", CENSUS,
+        ", (0, 0, both ^ above ^ below))", ")",
+        (UNCLASSIFIED,),
+    ),
+    Mutant(
+        "shape-key-unsorted", CENSUS,
+        "key = (tag, tuple(sorted((*degs, *extra))))", "key = (tag, (*degs, *extra))",
+        (NAIVE,),
+    ),
+    Mutant(
+        "pair-head-n-is-head-length", CENSUS,
+        "n_pi = len(head) if chain else 1", "n_pi = len(head)",
+        (NAIVE,),
+    ),
+)
+
+
+def run(mutant: Mutant) -> str:
+    """Apply one mutant to a fresh copy of the tree and run its tests:
+    "killed", "survived", or why it could not be run."""
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(
+            ROOT, copy,
+            ignore=shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis"),
+        )
+        target = copy / mutant.path
+        text = target.read_text()
+        if text.count(mutant.old) != 1:
+            return "old text does not occur exactly once"
+        target.write_text(text.replace(mutant.old, mutant.new))
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *mutant.tests],
+            cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+    return {0: "survived", 1: "killed"}.get(proc.returncode, f"pytest exit {proc.returncode}")
+
+
+def main(names: list[str]) -> int:
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    failed = 0
+    for mutant in chosen:
+        outcome = run(mutant)
+        print(f"{mutant.name}: {outcome}", flush=True)
+        failed += outcome != "killed"
+    print(f"{failed} of {len(chosen)} mutants not killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -126,6 +126,16 @@ class TestClassifySupport:
         # Two same-row pairs stacked: each row is its own incomparable pair.
         assert classify_support([P(2, 1), P(2, 2), P(1, 1), P(1, 4)]) is None
 
+    def test_repeated_points_count_once(self):
+        """A multiset's points classify as its support: p p q is A2, and
+        x x b c, with x above the same-row pair b, c, is B1|."""
+        p, q = P(1, 1), P(2, 1)
+        assert classify_support([p, p, q]) == SupportType.a(2)
+        x, b, c = P(2, 1), P(1, 1), P(1, 2)
+        pi = ColoredPartition.from_points([x, x, b, c])
+        assert classify_support(pi.points) == SupportType.b(1, "|")
+        assert classify_support(pi.points) == classify_support(pi.support)
+
 
 def _naive_census(points, order, deg):
     """Reference full census over the given points under an order, built
@@ -165,19 +175,15 @@ def _census(points, order, deg):
 
 
 def _census_buckets(report, table):
-    """A census report and its walk's table summed over sorted degrees, in
-    the layout of _naive_census, empty buckets dropped."""
-    joint = {}
-    for (tag, degs), n_pi in table.items():
-        key = (tag, tuple(sorted(degs)))
-        joint[key] = joint.get(key, 0) + n_pi
+    """A census report and its walk's (type, shape) table in the layout of
+    _naive_census, empty report buckets dropped."""
     return (
         report.total,
         report.unclassified,
         report.n_by_type,
         {d: v for d, v in report.n_by_degree.items() if v},
         {s: v for s, v in report.n_by_shape.items() if v},
-        {k: v for k, v in joint.items() if v},
+        table,
     )
 
 
@@ -228,6 +234,23 @@ class TestOracleFull:
         assert _census_buckets(report, table) == _naive_census(points, order, deg)
         if relation == _NOT_TRANSITIVE:
             assert (report.unclassified, report.total) == (1, 7)
+
+    @pytest.mark.parametrize("n, cells", [(1, 39), (2, 110), (3, 113), (4, 113)])
+    def test_walk_table_is_keyed_by_type_and_shape(self, n, cells):
+        """The walk's table holds N by (type key, sorted degree 4-tuple): 113
+        cells from n=3 on, no unclassified one, and the cells of each type
+        sum to its mass in the report."""
+        rank = Rank(n)
+        points = trapezoid_points(rank)
+        degrees = [trapezoid_degree(rank, p) for p in points]
+        table = census._walk(points, leq, degrees)
+        assert len(table) == cells
+        for tag, shape in table:
+            assert tag in census.TYPE_KEYS
+            assert len(shape) == 4 and shape == tuple(sorted(shape))
+        by_type = oracle_full(rank).n_by_type
+        for t in all_types():
+            assert sum(v for (tag, _), v in table.items() if tag == t.key()) == by_type[t]
 
     def test_n1_frozen_values(self):
         report = oracle_full(Rank(1))
