@@ -11,9 +11,9 @@ on its own.
 The support oracle counts the supports of every type of at most k+2
 points in one walk on the cone order itself: each incomparable pair
 contributes the chains above it times those below it.  The cone order is
-a 2-D dominance order, so each corner of a grid packs the chains of every
-size in its quadrant into one integer, one product per pair counts all
-pairs of sizes, no candidate is built and it scales to much larger ranks.
+a 2-D dominance order, so each corner (a column and a row with a point)
+packs the chains of every size in its quadrant into one integer: a column
+pair's sweep takes one product per point for all sizes, building no set.
 The same walk on the upside-down trapezoid, in dominance coordinates the
 trapezoid negated and shifted by (0, 2n+2), counts each type as its
 mirror: a consistency check of the walk under the reversed order, not a
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -228,29 +228,28 @@ def all_shapes(degrees: Iterable[int]) -> list[tuple[int, ...]]:
 
 
 def _quadrant_chains(
-    coords: Sequence[tuple[int, int]], size: int, stride: int
+    columns: dict[int, list[int]], size: int, stride: int
 ) -> dict[tuple[int, int], int]:
-    """Chains of each size 0..size in every upper quadrant of a dominance order.
+    """Chains of each size 0..size in the upper quadrants of a dominance order.
 
-    Points are distinct (x, y), a <= b when x_a <= x_b and y_a <= y_b.  Each
-    corner (X, Y) of the bounding grid maps to one int whose slot r, the bits
-    from r*stride, counts the r-chains in {x >= X, y >= Y}.  The chains
-    starting at p are p under a chain above p, so a sweep down each column
-    adds them, one slot up, to the quadrant right of it; an empty quadrant
-    holds the empty chain, 1.
+    columns maps each x, ascending, to its points' ascending y; a <= b when
+    x_a <= x_b and y_a <= y_b.  A corner (X, Y), a column and a row with a
+    point, holds an int whose slot r (bits from r*stride) counts r-chains
+    in {x >= X, y >= Y}.  Chains starting at p are p under a chain above p:
+    a sweep down each column adds them, a slot up, to right[y], the
+    quadrant right of it, 1 if empty.
     """
-    xs = range(min(x for x, _ in coords), max(x for x, _ in coords) + 1)
-    ys = range(min(y for _, y in coords), max(y for _, y in coords) + 1)
-    points = set(coords)
+    rows = sorted({y for ys in columns.values() for y in ys}, reverse=True)
     cut = (1 << (size + 1) * stride) - 1  # drops the chains longer than size
+    right = dict.fromkeys(rows, 1)
     quadrant = {}
-    for x in reversed(xs):
+    for x in reversed(columns):
+        points = set(columns[x])
         column = 0  # chains whose lowest point is in this column, at y or above
-        for y in reversed(ys):
-            right = quadrant.get((x + 1, y), 1)
-            if (x, y) in points:
-                column += (column + right) << stride & cut
-            quadrant[x, y] = column + right
+        for y in rows:
+            if y in points:
+                column += (column + right[y]) << stride & cut
+            quadrant[x, y] = right[y] = column + right[y]
     return quadrant
 
 
@@ -264,38 +263,39 @@ def _support_counts(
     C a = 0); the pair is unique, so each is counted once.  A pair has
     x_b < x_c and y_c < y_b: the points above both dominate (x_c, y_b),
     those below both are dominated by (x_b, y_c), and it shares a row
-    exactly when y_c = x_b + y_b - x_c.  For each column pair a sweep up y
-    sums the lower chains of the c points passed, O(columns^2 * rows).
-    Upper chains lie w bits apart and lower ones (size + 1) * w, so a product
-    puts (a, b) in slot a + (size + 1) * b.  A slot counts distinct sets of
-    at most 2 * size of the m points, fewer than C(m + 2 * size, 2 * size),
-    and same <= total in each, so no slot carries or borrows.
+    exactly when y_c = x_b + y_b - x_c.  A sweep up each column pair's
+    points sums the lower chains of the c points passed, O(column pairs *
+    points).  Upper chains lie w bits apart and lower ones (size + 1) * w,
+    so a product puts (a, b) in slot a + (size + 1) * b.  A slot counts
+    distinct sets of at most 2 * size of the m points, fewer than
+    C(m + 2 * size, 2 * size), and same <= total: none carries or borrows.
     """
     if not coords:  # a lone point carries no support, so its counts are all 0
         return _support_counts([(0, 0)], size)
     w = comb(len(coords) + 2 * size, 2 * size).bit_length()
     slot = (1 << w) - 1
-    lowest = (min(x for x, _ in coords), min(y for _, y in coords))
-    up = _quadrant_chains(coords, size, w)
+    points = set(coords)
+    columns: dict[int, list[int]] = {}
+    for x, y in sorted(points):
+        columns.setdefault(x, []).append(y)
+    lowest = (min(columns), min(y for _, y in points))
+    up = _quadrant_chains(columns, size, w)
     counts = {SupportType.a(r): up[lowest] >> r * w & slot for r in range(2, size + 1)}
     # Chains below (X, Y) are the chains above (-X, -Y) in the negated order.
-    down = _quadrant_chains([(-x, -y) for x, y in coords], size - 2, (size + 1) * w)
+    negated = {-x: [-y for y in reversed(ys)] for x, ys in reversed(columns.items())}
+    down = _quadrant_chains(negated, size - 2, (size + 1) * w)
     total = same = 0
-    points = set(coords)
-    xs = sorted({x for x, _ in coords})
-    ys = range(lowest[1], max(y for _, y in coords) + 1)
-    for i, xb in enumerate(xs):
-        for xc in xs[i + 1 :]:
-            passed = 0  # lower chains of the c points with y_c < y
-            for y in ys:
-                if (xb, y) in points:
-                    above = up[xc, y]
-                    total += above * passed
-                    yc = xb + y - xc
-                    if (xc, yc) in points:
-                        same += above * down[-xb, -yc]
-                if (xc, y) in points:
-                    passed += down[-xb, -y]
+    for (xb, bs), (xc, cs) in combinations(columns.items(), 2):
+        passed = i = 0  # lower chains of the c points with y_c < y
+        for y in bs:
+            while i < len(cs) and cs[i] < y:
+                passed += down[-xb, -cs[i]]
+                i += 1
+            above = up[xc, y]
+            total += above * passed
+            yc = xb + y - xc
+            if (xc, yc) in points:
+                same += above * down[-xb, -yc]
     for a in range(size - 1):
         for b in range(size - 1 - a):
             if a or b:

@@ -70,7 +70,8 @@ def _emit(text: str, out: str | None) -> int:
 
 
 def _shape_key(shape: tuple[int, ...]) -> str:
-    return "+".join(str(-d) for d in sorted(shape))
+    """The report's "3+2+1+1" name of a shape, ascending as all_shapes gives it."""
+    return "+".join(str(-d) for d in shape)
 
 
 class _Checks:

@@ -245,10 +245,7 @@ def weyl_dim(rank: Rank, lam: Sequence[int]) -> int:
         for j in range(i + 1, n):
             num *= (a[i] - a[j]) * (a[i] + a[j])
             den *= (b[i] - b[j]) * (b[i] + b[j])
-    q, rem = divmod(num, den)
-    if rem:
-        raise ArithmeticError(f"polynomial transcription fault: weyl at {lam}")
-    return q
+    return _exact_div(num, den, f"weyl at {lam}")
 
 
 def dim_s_theta(rank: Rank, s: int) -> int:

@@ -30,6 +30,7 @@ ROOT = Path(__file__).resolve().parents[1]
 CENSUS = "src/cascade/census.py"
 NAIVE = "tests/test_census.py::TestOracleFull::test_matches_naive_reference"
 UNCLASSIFIED = "tests/test_census.py::TestOracleFull::test_unclassified_bucket_is_walked"
+SUBSETS = "tests/test_census.py::TestOracleSupports::test_matches_subset_bruteforce"
 
 
 class Mutant(NamedTuple):
@@ -66,6 +67,25 @@ MUTANTS: tuple[Mutant, ...] = (
         "pair-head-n-is-head-length", CENSUS,
         "n_pi = len(head) if chain else 1", "n_pi = len(head)",
         (NAIVE,),
+    ),
+    # The support walk's column-pair sweep and its quadrant tables.
+    Mutant(
+        "sweep-pointer-advances-on-equal-y", CENSUS,
+        "while i < len(cs) and cs[i] < y:", "while i < len(cs) and cs[i] <= y:",
+        (SUBSETS,),
+    ),
+    Mutant(
+        "sweep-pointer-not-reset", CENSUS,
+        "total = same = 0\n    for (xb, bs), (xc, cs) in combinations(columns.items(), 2):\n"
+        "        passed = i = 0",
+        "total = same = i = 0\n    for (xb, bs), (xc, cs) in combinations(columns.items(), 2):\n"
+        "        passed = 0",
+        (SUBSETS,),
+    ),
+    Mutant(
+        "quadrant-right-not-carried", CENSUS,
+        "quadrant[x, y] = right[y] = column + right[y]", "quadrant[x, y] = column + right[y]",
+        (SUBSETS,),
     ),
 )
 
