@@ -4,11 +4,11 @@ A leading term is a colored partition of length k+1 whose support is a chain,
 i.e. a zig-zag downward line a_1 > a_2 > ... > a_r of pairwise comparable
 points in strictly decreasing rows.  E(pi) collects the leading terms embedded
 in pi, and N(pi) = max(#E(pi) - 1, 0) counts the independent differences of
-embeddings demanded by pi.
+embeddings demanded by pi.  Both read pi's distinct length-(k+1) picks against
+one process-wide set of tested picks, so each pick is tested for a chain once.
 """
 from __future__ import annotations
 
-from functools import cache
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -71,27 +71,30 @@ def enumerate_leading_terms(
             yield ColoredPartition(zip(chain, mults))
 
 
-@cache
-def _is_chain_support(support: frozenset) -> bool:
-    """is_chain, tested once per distinct support.  Sound because geometry.leq
-    reads the two points alone, never the rank.  The cache holds one entry per
-    distinct support of at most k+1 points that embeddings meets: 4 525 over
-    every length-4 partition at n=1..2."""
-    return is_chain(support)
+_TESTED: set[tuple] = set()  # every pick _chain_picks has met in this process
+_CHAIN_PICKS: set[tuple] = set()  # the chains among them
+
+
+def _chain_picks(pi: ColoredPartition, size: int) -> set[tuple]:
+    """The distinct picks of `size` of pi's sorted points that are chains, each
+    hashed once per call and tested once per process.  One set serves every
+    rank and level: is_chain of a pick with repeats is that of its support, and
+    geometry.leq reads the two points alone."""
+    picks = set(combinations(pi.points, size))
+    new = picks - _TESTED
+    if new:
+        _TESTED.update(new)
+        _CHAIN_PICKS.update(filter(is_chain, new))
+    return picks & _CHAIN_PICKS
 
 
 def embeddings(pi: ColoredPartition, rank: Rank) -> list[ColoredPartition]:
-    """E(pi): the leading terms dividing pi, its length-(k+1) picks with chain
-    support; each distinct support is tested pairwise once per process."""
-    picks = distinct_picks(pi, rank.k + 1)
-    return [
-        ColoredPartition.from_points(pts) for pts in picks
-        if _is_chain_support(frozenset(pts))
-    ]
+    """E(pi): the leading terms dividing pi, its length-(k+1) picks that are
+    chains, in distinct_picks' order; each pick is tested once per process."""
+    chains, picks = _chain_picks(pi, rank.k + 1), distinct_picks(pi, rank.k + 1)
+    return [ColoredPartition.from_points(p) for p in picks if p in chains]
 
 
 def n_count(pi: ColoredPartition, rank: Rank) -> int:
-    """N(pi) = max(#E(pi) - 1, 0), counting the chain picks that embeddings
-    would build, without building them."""
-    picks = distinct_picks(pi, rank.k + 1)
-    return max(sum(1 for pts in picks if _is_chain_support(frozenset(pts))) - 1, 0)
+    """N(pi) = max(#E(pi) - 1, 0), counting the chain picks without building them."""
+    return max(len(_chain_picks(pi, rank.k + 1)) - 1, 0)

@@ -102,9 +102,12 @@ def enumerate_partitions(
     """Every partition with support in region and the given length, exactly once.
 
     Yields C(|region| + length - 1, length) partitions, in lexicographic order
-    of the chosen points relative to the region sequence.
+    of their sorted points.  The region is sorted once, so each pick is sorted
+    already and is stored as it is; a sorted region keeps its sequence order.
     """
     if length < 0:
         raise ValueError(f"length must be >= 0, got {length}")
-    for points in combinations_with_replacement(region, length):
-        yield ColoredPartition.from_points(points)
+    for points in combinations_with_replacement(sorted(region), length):
+        pi = ColoredPartition.__new__(ColoredPartition)
+        pi.points = points
+        yield pi

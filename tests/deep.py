@@ -31,6 +31,9 @@ CENSUS = "src/cascade/census.py"
 NAIVE = "tests/test_census.py::TestOracleFull::test_matches_naive_reference"
 UNCLASSIFIED = "tests/test_census.py::TestOracleFull::test_unclassified_bucket_is_walked"
 SUBSETS = "tests/test_census.py::TestOracleSupports::test_matches_subset_bruteforce"
+LEADING = "src/cascade/leading.py"
+PARTITIONS = "src/cascade/partitions.py"
+ACROSS_RANKS = "tests/test_leading.py::test_embeddings_match_uncached_chain_filter_across_ranks"
 
 
 class Mutant(NamedTuple):
@@ -86,6 +89,24 @@ MUTANTS: tuple[Mutant, ...] = (
         "quadrant-right-not-carried", CENSUS,
         "quadrant[x, y] = right[y] = column + right[y]", "quadrant[x, y] = column + right[y]",
         (SUBSETS,),
+    ),
+    # The literal reference path: one process-wide set of tested picks, and
+    # partitions built from the sorted region.
+    Mutant(
+        "chain-picks-unfiltered", LEADING,
+        "_CHAIN_PICKS.update(filter(is_chain, new))", "_CHAIN_PICKS.update(new)",
+        ("tests/test_leading.py::test_embeddings_incomparable_squares", ACROSS_RANKS),
+    ),
+    Mutant(
+        "chain-picks-only-new", LEADING,
+        "return picks & _CHAIN_PICKS", "return new & _CHAIN_PICKS",
+        (ACROSS_RANKS,),
+    ),
+    Mutant(
+        "partitions-region-unsorted", PARTITIONS,
+        "combinations_with_replacement(sorted(region), length)",
+        "combinations_with_replacement(region, length)",
+        ("tests/test_partitions.py::test_enumerate_partitions_of_unsorted_region",),
     ),
 )
 

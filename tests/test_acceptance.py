@@ -270,8 +270,8 @@ def test_criterion_14_reference_path_totals():
         sums[n] = (len(partitions), sum(n_count(pi, rank) for pi in partitions))
     elapsed = time.perf_counter() - start
     assert sums == {1: (495, 126), 2: (40920, 3990)}
-    assert elapsed < 1.5
+    assert elapsed < 0.5
     print(
         "\nPASS criterion 14: reference path sums N to 126 over 495 partitions "
-        f"at n=1 and 3990 over 40920 at n=2 ({elapsed:.2f}s, budget 1.5s)"
+        f"at n=1 and 3990 over 40920 at n=2 ({elapsed:.2f}s, budget 0.5s)"
     )

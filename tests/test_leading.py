@@ -149,24 +149,28 @@ def test_chain_partitions_embed_once_per_chain_point(n):
 
 
 def test_embeddings_match_uncached_chain_filter_across_ranks():
-    """The chain test of embeddings is cached per support for the whole process.
-    Partitions drawn at n = 1, 2, 3, each read at its own and every larger rank
-    in a shuffled order, revisit supports first tested at another rank."""
+    """The chain test of embeddings is made once per pick for the whole process,
+    one set for every rank and level.  Partitions drawn at n = 1, 2, 3, each
+    read at its own and every larger rank and at k = 1, 2, 3 in a shuffled
+    order, revisit picks first tested at another rank or in another partition."""
     rng = random.Random(0)
     regions = {n: trapezoid_points(Rank(n)) for n in (1, 2, 3)}
     for _ in range(300):
         n = rng.choice((1, 2, 3))
         pi = ColoredPartition.from_points(rng.choices(regions[n], k=rng.randint(0, 7)))
-        expected = [
-            ColoredPartition.from_points(p)
-            for p in distinct_picks(pi, 3)
-            if is_chain(set(p))
-        ]
-        ranks = [Rank(m) for m in range(n, 4)]
+        expected = {
+            k: [
+                ColoredPartition.from_points(p)
+                for p in distinct_picks(pi, k + 1)
+                if is_chain(set(p))
+            ]
+            for k in (1, 2, 3)
+        }
+        ranks = [Rank(m, k) for m in range(n, 4) for k in (1, 2, 3)]
         rng.shuffle(ranks)
         for rank in ranks:
-            assert embeddings(pi, rank) == expected
-            assert n_count(pi, rank) == max(len(expected) - 1, 0)
+            assert embeddings(pi, rank) == expected[rank.k]
+            assert n_count(pi, rank) == max(len(expected[rank.k]) - 1, 0)
 
 
 def test_pair_family_has_exactly_two_embeddings():

@@ -1,6 +1,7 @@
 """Tests for colored partitions: statistics, sub-multisets, enumeration."""
 from __future__ import annotations
 
+import random
 from collections import Counter
 from itertools import product
 from math import comb
@@ -233,3 +234,22 @@ def test_enumerate_partitions_deterministic_order():
     )
     first = next(iter(enumerate_partitions(region, 3)))
     assert first == ColoredPartition({region[0]: 3})
+
+
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
+def test_enumerate_partitions_of_unsorted_region(order):
+    """An unsorted region gives the partitions of its sorted copy, each once,
+    and every partition holds its points sorted, as from_points stores them."""
+    region = list(trapezoid_points(Rank(1)))
+    if order == "reversed":
+        region.reverse()
+    else:
+        random.Random(3).shuffle(region)
+    assert region != sorted(region)
+    for length in range(5):
+        got = list(enumerate_partitions(region, length))
+        assert got == list(enumerate_partitions(sorted(region), length))
+        assert len(set(got)) == len(got) == comb(len(region) + length - 1, length)
+        for pi in got:
+            assert list(pi.points) == sorted(pi.points)
+            assert pi.points == ColoredPartition.from_points(pi.points).points
