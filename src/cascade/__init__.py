@@ -7,7 +7,6 @@ sums, per-type polynomials, a product total, and the Weyl-dimension
 identities tying the total to symplectic representation theory.
 """
 from .geometry import Rank, RootLabel, StripPoint, TrapezoidPoint
-from .partitions import ColoredPartition
 from .census import CensusReport, SupportType, classify_support
 
 __version__ = "0.1.0"
@@ -23,3 +22,12 @@ __all__ = [
     "classify_support",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # The command line never uses partitions, so it loads on first use.
+    if name == "ColoredPartition":
+        from .partitions import ColoredPartition
+
+        return ColoredPartition
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -22,10 +22,9 @@ second geometry.  The walks consult no closed form.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from math import comb
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import geometry
 from .geometry import Rank, TrapezoidPoint
@@ -34,15 +33,21 @@ SAME_ROW = "|"
 DIFF_ROW = "||"
 
 _KEY_RE = re.compile(
-    r"^(?:A(?P<ar>\d+)"
+    r"A(?P<ar>\d+)"
     r"|B(?P<br>\d+)(?P<bdelta>\|{1,2})"
     r"|C(?P<cdelta>\|{1,2})(?P<cr>\d+)"
-    r"|D(?P<dr>\d+)(?P<ddelta>\|{1,2})(?P<ds>\d+))$"
+    r"|D(?P<dr>\d+)(?P<ddelta>\|{1,2})(?P<ds>\d+)"
 )
 
 
-@dataclass(frozen=True)
-class SupportType:
+class _SupportTypeFields(NamedTuple):
+    family: str
+    r: int
+    delta: str | None
+    s: int
+
+
+class SupportType(_SupportTypeFields):
     """Classification tag of a support admitting two or more embeddings.
 
     A(r): a chain of r >= 2 points.  B(r, delta): a chain of r points above
@@ -51,29 +56,27 @@ class SupportType:
     the pair shares a row and "||" otherwise.
     """
 
-    family: str
-    r: int
-    delta: str | None = None
-    s: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in ("A", "B", "C", "D"):
-            raise ValueError(f"unknown family: {self.family!r}")
-        if self.family == "A":
-            if self.r < 2:
-                raise ValueError(f"A requires a chain of >= 2, got {self.r}")
-            if self.delta is not None or self.s:
+    def __new__(cls, family: str, r: int, delta: str | None = None, s: int = 0) -> SupportType:
+        if family not in ("A", "B", "C", "D"):
+            raise ValueError(f"unknown family: {family!r}")
+        if family == "A":
+            if r < 2:
+                raise ValueError(f"A requires a chain of >= 2, got {r}")
+            if delta is not None or s:
                 raise ValueError("A carries no pair parameters")
         else:
-            if self.delta not in (SAME_ROW, DIFF_ROW):
-                raise ValueError(f"invalid row tag: {self.delta!r}")
-            if self.r < 1:
-                raise ValueError(f"chain size must be >= 1, got {self.r}")
-            if self.family == "D":
-                if self.s < 1:
-                    raise ValueError(f"lower chain size must be >= 1, got {self.s}")
-            elif self.s:
-                raise ValueError(f"{self.family} carries no lower chain")
+            if delta not in (SAME_ROW, DIFF_ROW):
+                raise ValueError(f"invalid row tag: {delta!r}")
+            if r < 1:
+                raise ValueError(f"chain size must be >= 1, got {r}")
+            if family == "D":
+                if s < 1:
+                    raise ValueError(f"lower chain size must be >= 1, got {s}")
+            elif s:
+                raise ValueError(f"{family} carries no lower chain")
+        return super().__new__(cls, family, r, delta, s)
 
     @staticmethod
     def a(r: int) -> "SupportType":
@@ -93,7 +96,7 @@ class SupportType:
 
     @classmethod
     def from_key(cls, key: str) -> "SupportType":
-        m = _KEY_RE.match(key)
+        m = _KEY_RE.fullmatch(key)
         if m is None:
             raise ValueError(f"not a support-type key: {key!r}")
         g = m.groupdict()
@@ -197,8 +200,7 @@ def _pair_type(r: int, delta: str, s: int) -> SupportType | None:
     return SupportType.c(delta, s) if s else None
 
 
-@dataclass
-class CensusReport:
+class CensusReport(NamedTuple):
     """Exact counts from the full oracle.
 
     n_by_type, n_by_degree and n_by_shape accumulate N(pi) by support type,

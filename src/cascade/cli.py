@@ -16,7 +16,6 @@ usage error or a report that cannot be written.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import re
@@ -27,11 +26,11 @@ from . import census, closed_forms, geometry
 from .census import all_types, mirror
 from .geometry import Rank
 
-_RANGE_RE = re.compile(r"^(\d+)\.\.(\d+)$")
+_RANGE_RE = re.compile(r"(\d+)\.\.(\d+)")
 
 
 def _parse_n(text: str) -> tuple[int, ...]:
-    m = _RANGE_RE.match(text)
+    m = _RANGE_RE.fullmatch(text)
     if m:
         return tuple(range(int(m.group(1)), int(m.group(2)) + 1))
     if text.isdigit():
@@ -122,7 +121,10 @@ class _Checks:
         return json.dumps({"results": results, "pass": not self.failures}, indent=2) + "\n"
 
     def render_csv(self) -> str:
-        # The writer quotes a fault message that carries a comma.
+        # The writer quotes a fault message that carries a comma.  Only this
+        # format needs csv, so the CLI's start-up does not load it.
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(("check", "n", "key", "expected", "got", "status"))

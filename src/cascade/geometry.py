@@ -9,25 +9,28 @@ opens downward from a vertex.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 
-@dataclass(frozen=True, slots=True)
-class Rank:
+class _RankFields(NamedTuple):
+    n: int
+    k: int
+
+
+class Rank(_RankFields):
     """Rank n of the symplectic algebra sp_2n plus the level k (default 2).
 
     Construction rejects n < 1 and k < 1, so every Rank is valid.
     """
 
-    n: int
-    k: int = 2
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"rank must be >= 1, got {self.n}")
-        if self.k < 1:
-            raise ValueError(f"level must be >= 1, got {self.k}")
+    def __new__(cls, n: int, k: int = 2) -> Rank:
+        if n < 1:
+            raise ValueError(f"rank must be >= 1, got {n}")
+        if k < 1:
+            raise ValueError(f"level must be >= 1, got {k}")
+        return super().__new__(cls, n, k)
 
 
 class TrapezoidPoint(NamedTuple):

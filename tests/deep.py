@@ -3,11 +3,12 @@
 Each entry of MUTANTS is a deliberate fault: a file under the repository
 root, an exact old text that occurs once in it, the new text that replaces
 it and the tests that must catch it.  For each entry the script copies the
-tree to a temporary directory, applies the entry there and runs its tests
-with pytest.  The mutant is killed when a test fails and survives when all
-pass; a survivor is a missing test.  The script exits 1 if any mutant
-survives or cannot be run (its old text is gone, or pytest ends in an error
-rather than a test failure).
+tree to a temporary directory, applies the entry there and runs all its
+tests with pytest.  The mutant is killed when a test fails and survives when
+all pass; a survivor is a missing test.  The script prints each outcome and,
+below it, the node ids of the tests that failed: the mutant's killers.  It
+exits 1 if any mutant survives or cannot be run (its old text is gone, or
+pytest ends in an error rather than a test failure).
 
     python3 tests/deep.py                 # every entry
     python3 tests/deep.py NAME [NAME ...]  # the named entries
@@ -34,6 +35,10 @@ SUBSETS = "tests/test_census.py::TestOracleSupports::test_matches_subset_brutefo
 LEADING = "src/cascade/leading.py"
 PARTITIONS = "src/cascade/partitions.py"
 ACROSS_RANKS = "tests/test_leading.py::test_embeddings_match_uncached_chain_filter_across_ranks"
+GEOMETRY = "src/cascade/geometry.py"
+CLI = "src/cascade/cli.py"
+INIT = "src/cascade/__init__.py"
+BAD_KEYS = "tests/test_census.py::TestSupportType::test_invalid_keys_rejected"
 
 
 class Mutant(NamedTuple):
@@ -108,12 +113,43 @@ MUTANTS: tuple[Mutant, ...] = (
         "combinations_with_replacement(region, length)",
         ("tests/test_partitions.py::test_enumerate_partitions_of_unsorted_region",),
     ),
+    # The value classes' checks, the key parsers and the lean start-up.
+    Mutant(
+        "rank-check-dropped", GEOMETRY,
+        '        if n < 1:\n            raise ValueError(f"rank must be >= 1, got {n}")\n', "",
+        ("tests/test_geometry.py::test_rank_validation",
+         "tests/test_cli.py::TestVerify::test_rank_zero_rejected"),
+    ),
+    Mutant(
+        "support-type-check-dropped", CENSUS,
+        '            if r < 2:\n                raise ValueError(f"A requires a chain of >= 2, got {r}")\n',
+        "",
+        ("tests/test_census.py::TestSupportType::test_constructor_validation", BAD_KEYS),
+    ),
+    Mutant(
+        "key-re-not-full", CENSUS,
+        "_KEY_RE.fullmatch(key)", "_KEY_RE.match(key)",
+        (BAD_KEYS,),
+    ),
+    Mutant(
+        "range-re-not-full", CLI,
+        "_RANGE_RE.fullmatch(text)", "_RANGE_RE.match(text)",
+        ("tests/test_cli.py::TestVerify::test_range_with_trailing_newline_rejected",),
+    ),
+    Mutant(
+        "partitions-imported-eagerly", INIT,
+        "from .census import CensusReport, SupportType, classify_support\n",
+        "from .census import CensusReport, SupportType, classify_support\n"
+        "from .partitions import ColoredPartition\n",
+        ("tests/test_stdlib_only.py::test_cli_startup_loads_only_what_it_runs",),
+    ),
 )
 
 
-def run(mutant: Mutant) -> str:
-    """Apply one mutant to a fresh copy of the tree and run its tests:
-    "killed", "survived", or why it could not be run."""
+def run(mutant: Mutant) -> tuple[str, list[str]]:
+    """Apply one mutant to a fresh copy of the tree and run all its tests:
+    "killed", "survived", or why it could not be run, and the node ids of
+    the tests that failed or ended in an error."""
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(
@@ -123,14 +159,21 @@ def run(mutant: Mutant) -> str:
         target = copy / mutant.path
         text = target.read_text()
         if text.count(mutant.old) != 1:
-            return "old text does not occur exactly once"
+            return "old text does not occur exactly once", []
         target.write_text(text.replace(mutant.old, mutant.new))
         env = dict(os.environ, PYTHONPATH=str(copy / "src"))
         proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *mutant.tests],
-            cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *mutant.tests],
+            cwd=copy, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
         )
-    return {0: "survived", 1: "killed"}.get(proc.returncode, f"pytest exit {proc.returncode}")
+    # Summary lines read "FAILED <node id> - <message>" (or ERROR).
+    killers = [
+        line.split(" - ")[0].split(" ", 1)[1]
+        for line in proc.stdout.splitlines()
+        if line.startswith(("FAILED ", "ERROR "))
+    ]
+    outcome = {0: "survived", 1: "killed"}.get(proc.returncode, f"pytest exit {proc.returncode}")
+    return outcome, killers
 
 
 def main(names: list[str]) -> int:
@@ -141,8 +184,8 @@ def main(names: list[str]) -> int:
     chosen = [m for m in MUTANTS if not names or m.name in names]
     failed = 0
     for mutant in chosen:
-        outcome = run(mutant)
-        print(f"{mutant.name}: {outcome}", flush=True)
+        outcome, killers = run(mutant)
+        print(f"{mutant.name}: {outcome}", *(f"  {k}" for k in killers), sep="\n", flush=True)
         failed += outcome != "killed"
     print(f"{failed} of {len(chosen)} mutants not killed")
     return 1 if failed else 0

@@ -6,6 +6,7 @@ same partitions and recomputes N(pi) from their sub-multisets and chains.
 """
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
 from itertools import combinations
 
@@ -65,7 +66,7 @@ class TestSupportType:
         assert SupportType.from_key("C||4") == SupportType.c("||", 4)
 
     def test_invalid_keys_rejected(self):
-        for bad in ("", "A", "A1", "E2", "B2", "C2|", "B|2", "D1|", "D|1|1", "A2|"):
+        for bad in ("", "A", "A1", "E2", "B2", "C2|", "B|2", "D1|", "D|1|1", "A2|", "A2\n"):
             with pytest.raises(ValueError):
                 SupportType.from_key(bad)
 
@@ -80,6 +81,17 @@ class TestSupportType:
             SupportType("D", 1, "|", 0)
         with pytest.raises(ValueError):
             SupportType("B", 1, "|", 1)
+
+    def test_value_semantics(self):
+        t = SupportType.d(1, "|", 1)
+        assert repr(t) == "SupportType(family='D', r=1, delta='|', s=1)"
+        assert str(t) == "D1|1"
+        assert t == SupportType("D", 1, "|", 1) == SupportType.from_key("D1|1")
+        assert t != SupportType.d(1, "||", 1)
+        assert hash(t) == hash(SupportType.from_key("D1|1"))
+        assert len({SupportType.a(2), SupportType("A", 2)}) == 1
+        with pytest.raises(AttributeError):
+            t.r = 2
 
     def test_sizes(self):
         assert SupportType.a(3).size == 3
@@ -234,6 +246,17 @@ class TestOracleFull:
         assert _census_buckets(report, table) == _naive_census(points, order, deg)
         if relation == _NOT_TRANSITIVE:
             assert (report.unclassified, report.total) == (1, 7)
+
+    @pytest.mark.parametrize("n, digest", [
+        (1, "2e815674c0f2d75a1b1d9ee5f7ad51a868cee9f836c131798d2edb35782bc4ae"),
+        (2, "11393f09aa348c34bcf5483f5269377f0def4a528009120087f969bfd56d2d52"),
+        (3, "b27b6c42ef06aedac2f7b7526ad7b15fcd9deb268483daa752f35009a1ea1038"),
+    ])
+    def test_report_repr_is_pinned(self, n, digest):
+        """The report's repr is pinned, so how the report and its types are
+        declared cannot change their reprs, field order included."""
+        text = repr(oracle_full(Rank(n)))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("n, cells", [(1, 39), (2, 110), (3, 113), (4, 113)])
     def test_walk_table_is_keyed_by_type_and_shape(self, n, cells):

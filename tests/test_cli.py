@@ -97,6 +97,12 @@ class TestVerify:
         assert code == 2
         assert "empty rank range" in err
 
+    def test_range_with_trailing_newline_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--n", "1..2\n"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_unwritable_out_rejected(self, capsys, tmp_path):
         assert_unwritable_out_rejected(capsys, tmp_path, "verify", "--n", "1")
 

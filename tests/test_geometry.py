@@ -25,6 +25,10 @@ def test_rank_validation():
         Rank(0)
     with pytest.raises(ValueError, match="level must be >= 1, got 0"):
         Rank(2, 0)
+    assert repr(Rank(3)) == "Rank(n=3, k=2)"
+    assert Rank(n=4) == Rank(4)
+    with pytest.raises(AttributeError):
+        Rank(2).n = 3
 
 
 def test_trapezoid_point_counts():
