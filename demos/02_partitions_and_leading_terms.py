@@ -37,7 +37,7 @@ pi = ColoredPartition({x: 1, y: 1, z: 2})
 print(f"\npartition {{x, y, z^2}} with x={tuple(x)}, y={tuple(y)}, z={tuple(z)}")
 embs = embeddings(pi, rank)
 for term in embs:
-    parts = [tuple(p) for p in term.expanded()]
+    parts = [tuple(p) for p in term.points]
     print(f"  embedding: {parts}  (chain? {is_leading_term(term, rank)})")
 print(f"  N = {n_count(pi, rank)}  (embeddings minus one)")
 

@@ -27,7 +27,7 @@ from math import comb
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import geometry
-from .geometry import Rank, TrapezoidPoint
+from .geometry import Rank, TrapezoidPoint, _Validated
 
 SAME_ROW = "|"
 DIFF_ROW = "||"
@@ -47,7 +47,7 @@ class _SupportTypeFields(NamedTuple):
     s: int
 
 
-class SupportType(_SupportTypeFields):
+class SupportType(_Validated, _SupportTypeFields):
     """Classification tag of a support admitting two or more embeddings.
 
     A(r): a chain of r >= 2 points.  B(r, delta): a chain of r points above
@@ -271,18 +271,17 @@ def _support_counts(
     so a product puts (a, b) in slot a + (size + 1) * b.  A slot counts
     distinct sets of at most 2 * size of the m points, fewer than
     C(m + 2 * size, 2 * size), and same <= total: none carries or borrows.
+    An empty region has no corner; its one chain, the empty one, is 1.
     """
-    if not coords:  # a lone point carries no support, so its counts are all 0
-        return _support_counts([(0, 0)], size)
     w = comb(len(coords) + 2 * size, 2 * size).bit_length()
     slot = (1 << w) - 1
     points = set(coords)
     columns: dict[int, list[int]] = {}
     for x, y in sorted(points):
         columns.setdefault(x, []).append(y)
-    lowest = (min(columns), min(y for _, y in points))
+    lowest = (min(columns, default=0), min((y for _, y in points), default=0))
     up = _quadrant_chains(columns, size, w)
-    counts = {SupportType.a(r): up[lowest] >> r * w & slot for r in range(2, size + 1)}
+    counts = {SupportType.a(r): up.get(lowest, 1) >> r * w & slot for r in range(2, size + 1)}
     # Chains below (X, Y) are the chains above (-X, -Y) in the negated order.
     negated = {-x: [-y for y in reversed(ys)] for x, ys in reversed(columns.items())}
     down = _quadrant_chains(negated, size - 2, (size + 1) * w)

@@ -10,8 +10,8 @@ rank by constructing its Rank, and passes the namespace to its handler.
 Every command runs in one process.  Output is fully deterministic for a
 fixed configuration: no timings, fixed key orders everywhere.  Exit codes
 follow CI conventions: 0 all checks pass, 1 an identity fails (a mismatch,
-or a closed form raising ArithmeticError, each reported as a FAIL row), 2
-usage error or a report that cannot be written.
+or a check raising ArithmeticError or LookupError, each reported as a FAIL
+row), 2 usage error or a report that cannot be written.
 """
 from __future__ import annotations
 
@@ -152,10 +152,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _verify_rank(checks: _Checks, rank: Rank, cap: int) -> None:
     """Add the check rows of one rank; the full census runs for n <= cap.
 
-    A closed form raising ArithmeticError (an inexact division or a broken
-    internal identity) ends the rank with one FAIL row of the running check
-    that carries the message.  Each closed value is computed once, where a
-    check first needs it, so a fault is still reported by that check.
+    A fault in a check, an ArithmeticError (an inexact division) or a
+    LookupError (a walk or a fold missing a key), ends the rank with one
+    FAIL row of the running check that carries the message.  Each closed
+    value is computed once, where a check first needs it, so a fault is
+    still reported by that check.
     """
     n = rank.n
     types = all_types()
@@ -213,13 +214,10 @@ def _verify_rank(checks: _Checks, rank: Rank, cap: int) -> None:
                 closed_forms.dim_4theta_minus_alpha(rank),
                 closed_forms.weyl_dim(rank, (7, 1)),
             )
-        checks.add(
-            n,
-            check,
-            "relation-space",
-            2 * n * closed_forms.binomial(2 * n + 6, 7),
-            closed_forms.dim_relation_space(rank),
-        )
+        # The relation space's product form against its three constituents.
+        parts = closed_forms.dim_s_theta(rank, 3) + closed_forms.dim_s_theta(rank, 4)
+        parts += closed_forms.dim_4theta_minus_alpha(rank)
+        checks.add(n, check, "relation-space", closed_forms.dim_relation_space(rank), parts)
         check = "equivalence"
         checks.add(n, check, "identity", True, closed_forms.equivalence_identity(rank))
         # Up-down symmetry: flipped walk equals the mirrored plain walk.
@@ -227,7 +225,7 @@ def _verify_rank(checks: _Checks, rank: Rank, cap: int) -> None:
         flipped = census.flipped_support_counts(rank)
         for t in types:
             checks.add(n, check, t.key(), counted[mirror(t)], flipped[t])
-    except ArithmeticError as exc:
+    except (ArithmeticError, LookupError) as exc:
         checks.add(n, check, "error", "no error", str(exc))
 
 
@@ -251,7 +249,11 @@ def _count_payload(rank: Rank, types_only: bool):
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    """Emit the census table for a single rank."""
+    """Emit the census table for a single rank.
+
+    count checks no identity, so it has no FAIL row to hold a fault and takes
+    no guard: a walk that raises is a defect, which verify at the same rank
+    reports as a FAIL row, and count ends in its traceback, not in a table."""
     (rank,) = args.n
     if not args.types_only and rank.n > args.oracle_cap:
         return _usage_error(

@@ -12,12 +12,31 @@ from __future__ import annotations
 from typing import NamedTuple
 
 
+class _Validated:
+    """Mixin of a NamedTuple subclass that validates in __new__: _make (and
+    _replace) build through __new__, and only a value of its class equals it."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+
 class _RankFields(NamedTuple):
     n: int
     k: int
 
 
-class Rank(_RankFields):
+class Rank(_Validated, _RankFields):
     """Rank n of the symplectic algebra sp_2n plus the level k (default 2).
 
     Construction rejects n < 1 and k < 1, so every Rank is valid.
@@ -86,14 +105,12 @@ def leq(a: TrapezoidPoint, b: TrapezoidPoint) -> bool:
     return a.row <= b.row and b.col <= a.col <= b.col + (b.row - a.row)
 
 
-def _check_strip_point(rank: Rank, p: StripPoint) -> None:
-    n = rank.n
-    if p.d < 1:
-        raise ValueError(f"triangle index must be >= 1, got d={p.d}")
-    if not 1 <= p.local_row <= 2 * n:
-        raise ValueError(f"local row out of range: {p.local_row}")
-    if not 1 <= p.local_col <= 2 * n + 1 - p.local_row:
-        raise ValueError(f"local column out of range: {p.local_col}")
+def _check_local(rank: Rank, local_row: int, local_col: int) -> None:
+    """Reject a position outside a triangle: rows 1..2n, columns 1..2n+1-row."""
+    if not 1 <= local_row <= 2 * rank.n:
+        raise ValueError(f"local row out of range: {local_row}")
+    if not 1 <= local_col <= 2 * rank.n + 1 - local_row:
+        raise ValueError(f"local column out of range: {local_col}")
 
 
 def strip_global(rank: Rank, p: StripPoint) -> tuple[int, int]:
@@ -102,7 +119,9 @@ def strip_global(rank: Rank, p: StripPoint) -> tuple[int, int]:
     Odd triangles d = 2t+1 sit upright, shifted right by 2nt; even triangles
     d = 2t+2 hang upside down between them.
     """
-    _check_strip_point(rank, p)
+    if p.d < 1:
+        raise ValueError(f"triangle index must be >= 1, got d={p.d}")
+    _check_local(rank, p.local_row, p.local_col)
     n = rank.n
     t, odd = divmod(p.d - 1, 2)
     if odd == 0:
@@ -139,10 +158,7 @@ def root_label(rank: Rank, local_row: int, local_col: int) -> RootLabel:
     the label of (local_row, local_col) pairs entry local_col with entry
     local_col + local_row - 1.
     """
+    _check_local(rank, local_row, local_col)
     n = rank.n
-    if not 1 <= local_row <= 2 * n:
-        raise ValueError(f"local row out of range: {local_row}")
-    if not 1 <= local_col <= 2 * n + 1 - local_row:
-        raise ValueError(f"local column out of range: {local_col}")
     signed = list(range(1, n + 1)) + list(range(-n, 0))
     return RootLabel(signed[local_col - 1], signed[local_col + local_row - 2])

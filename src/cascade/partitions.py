@@ -60,10 +60,6 @@ class ColoredPartition:
         """Multiplicity-weighted sum of part degrees; 0 for the unit partition."""
         return sum(map(degree_fn, self.points))
 
-    def expanded(self) -> tuple[Point, ...]:
-        """All parts with multiplicity, sorted."""
-        return self.points
-
     def __eq__(self, other) -> bool:
         return isinstance(other, ColoredPartition) and self.points == other.points
 

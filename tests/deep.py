@@ -10,8 +10,15 @@ below it, the node ids of the tests that failed: the mutant's killers.  It
 exits 1 if any mutant survives or cannot be run (its old text is gone, or
 pytest ends in an error rather than a test failure).
 
-    python3 tests/deep.py                 # every entry
-    python3 tests/deep.py NAME [NAME ...]  # the named entries
+With --verify, each mutant of census.py also runs the user's own check,
+`cascade verify --n 1..5 --oracle-cap 5`, on the mutated copy, and the
+script prints its exit code and how it ended: in a FAIL row, in a
+traceback, or passing.  That line is a report; it does not change the
+exit code.
+
+    python3 tests/deep.py                      # every entry
+    python3 tests/deep.py NAME [NAME ...]      # the named entries
+    python3 tests/deep.py --verify [NAME ...]  # plus verify on census.py's
 
 pytest does not collect this file.  tests/test_deep.py checks that each old
 text occurs exactly once in today's source, so a refactor carries the
@@ -39,6 +46,7 @@ GEOMETRY = "src/cascade/geometry.py"
 CLI = "src/cascade/cli.py"
 INIT = "src/cascade/__init__.py"
 BAD_KEYS = "tests/test_census.py::TestSupportType::test_invalid_keys_rejected"
+VERIFY = ("-m", "cascade.cli", "verify", "--n", "1..5", "--oracle-cap", "5")
 
 
 class Mutant(NamedTuple):
@@ -143,13 +151,62 @@ MUTANTS: tuple[Mutant, ...] = (
         "from .partitions import ColoredPartition\n",
         ("tests/test_stdlib_only.py::test_cli_startup_loads_only_what_it_runs",),
     ),
+    # One path per job: the relation-space row, the shared strip bounds, the
+    # validated value classes and the FAIL row for every fault in a check.
+    Mutant(
+        "relation-space-row-from-product", CLI,
+        "parts = closed_forms.dim_s_theta(rank, 3) + closed_forms.dim_s_theta(rank, 4)\n"
+        "        parts += closed_forms.dim_4theta_minus_alpha(rank)\n",
+        "parts = closed_forms.dim_relation_space(rank)\n",
+        ("tests/test_cli.py::TestVerify::test_broken_constituent_is_a_relation_space_fail_row",),
+    ),
+    Mutant(
+        "root-label-unchecked", GEOMETRY,
+        "    _check_local(rank, local_row, local_col)\n    n = rank.n\n    signed",
+        "    n = rank.n\n    signed",
+        ("tests/test_geometry.py::test_root_label_out_of_range",),
+    ),
+    Mutant(
+        "make-skips-checks", GEOMETRY,
+        "return cls(*iterable)", "return tuple.__new__(cls, iterable)",
+        ("tests/test_geometry.py::test_rank_is_built_only_through_its_checks",
+         "tests/test_census.py::TestSupportType::test_built_only_through_its_checks"),
+    ),
+    Mutant(
+        "eq-accepts-tuples", GEOMETRY,
+        "return type(other) is type(self) and tuple.__eq__(self, other)",
+        "return tuple.__eq__(self, other)",
+        ("tests/test_geometry.py::test_rank_equals_no_plain_tuple",
+         "tests/test_census.py::TestSupportType::test_equals_no_plain_tuple"),
+    ),
+    Mutant(
+        "verify-catches-arithmetic-only", CLI,
+        "except (ArithmeticError, LookupError) as exc:", "except ArithmeticError as exc:",
+        ("tests/test_cli.py::TestVerify::test_walk_lookup_fault_is_fail_row",),
+    ),
 )
 
 
-def run(mutant: Mutant) -> tuple[str, list[str]]:
+def _verify_ending(copy: Path, env: dict[str, str]) -> str:
+    """Run the verify command on the copy: its exit code and its ending."""
+    proc = subprocess.run(
+        [sys.executable, *VERIFY], cwd=copy, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    if "Traceback" in proc.stderr:
+        ending = "traceback"
+    elif any(line.startswith("FAIL ") for line in proc.stdout.splitlines()):
+        ending = "FAIL row"
+    else:
+        ending = "passes"
+    return f"exit {proc.returncode}, {ending}"
+
+
+def run(mutant: Mutant, verify: bool = False) -> tuple[str, list[str], str | None]:
     """Apply one mutant to a fresh copy of the tree and run all its tests:
-    "killed", "survived", or why it could not be run, and the node ids of
-    the tests that failed or ended in an error."""
+    "killed", "survived", or why it could not be run, the node ids of the
+    tests that failed or ended in an error, and, when verify is set and the
+    mutant is in census.py, how the verify command ended on the copy."""
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(
@@ -159,13 +216,14 @@ def run(mutant: Mutant) -> tuple[str, list[str]]:
         target = copy / mutant.path
         text = target.read_text()
         if text.count(mutant.old) != 1:
-            return "old text does not occur exactly once", []
+            return "old text does not occur exactly once", [], None
         target.write_text(text.replace(mutant.old, mutant.new))
         env = dict(os.environ, PYTHONPATH=str(copy / "src"))
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *mutant.tests],
             cwd=copy, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
         )
+        ending = _verify_ending(copy, env) if verify and mutant.path == CENSUS else None
     # Summary lines read "FAILED <node id> - <message>" (or ERROR).
     killers = [
         line.split(" - ")[0].split(" ", 1)[1]
@@ -173,10 +231,12 @@ def run(mutant: Mutant) -> tuple[str, list[str]]:
         if line.startswith(("FAILED ", "ERROR "))
     ]
     outcome = {0: "survived", 1: "killed"}.get(proc.returncode, f"pytest exit {proc.returncode}")
-    return outcome, killers
+    return outcome, killers, ending
 
 
-def main(names: list[str]) -> int:
+def main(args: list[str]) -> int:
+    verify = "--verify" in args
+    names = [a for a in args if a != "--verify"]
     unknown = set(names) - {m.name for m in MUTANTS}
     if unknown:
         print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
@@ -184,8 +244,11 @@ def main(names: list[str]) -> int:
     chosen = [m for m in MUTANTS if not names or m.name in names]
     failed = 0
     for mutant in chosen:
-        outcome, killers = run(mutant)
-        print(f"{mutant.name}: {outcome}", *(f"  {k}" for k in killers), sep="\n", flush=True)
+        outcome, killers, ending = run(mutant, verify)
+        print(f"{mutant.name}: {outcome}", *(f"  {k}" for k in killers), sep="\n")
+        if ending:
+            print(f"  verify: {ending}")
+        sys.stdout.flush()
         failed += outcome != "killed"
     print(f"{failed} of {len(chosen)} mutants not killed")
     return 1 if failed else 0

@@ -151,7 +151,9 @@ def test_criterion_07_weyl_dimensions():
         assert dim_4theta_minus_alpha(rank) == weyl_dim(rank, (7, 1))
     for n in range(1, 21):
         rank = Rank(n)
-        assert dim_relation_space(rank) == 2 * n * binomial(2 * n + 6, 7)
+        assert dim_relation_space(rank) == (
+            dim_s_theta(rank, 3) + dim_s_theta(rank, 4) + dim_4theta_minus_alpha(rank)
+        )
     print(
         "\nPASS criterion 7: Weyl dimensions (s.theta n=1..10, (7,1) n=2..10, "
         "relation space n=1..20)"

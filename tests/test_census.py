@@ -44,7 +44,7 @@ P = TrapezoidPoint
 
 def shape_of(pi, deg):
     """The ordinary partition of |pi|: part degrees sorted most negative first."""
-    return tuple(sorted(deg(p) for p in pi.expanded()))
+    return tuple(sorted(deg(p) for p in pi.points))
 
 
 def _flipped_leq(a, b):
@@ -92,6 +92,19 @@ class TestSupportType:
         assert len({SupportType.a(2), SupportType("A", 2)}) == 1
         with pytest.raises(AttributeError):
             t.r = 2
+
+    def test_built_only_through_its_checks(self):
+        with pytest.raises(ValueError, match="A requires a chain of >= 2, got 1"):
+            SupportType.a(2)._replace(r=1)
+        with pytest.raises(ValueError, match="invalid row tag: None"):
+            SupportType._make(("B", 1, None, 0))
+        assert SupportType.a(2)._replace(r=3) == SupportType._make(("A", 3, None, 0))
+
+    def test_equals_no_plain_tuple(self):
+        t = SupportType.d(1, "|", 1)
+        assert t != ("D", 1, "|", 1) and ("D", 1, "|", 1) != t
+        assert not t == ("D", 1, "|", 1)
+        assert hash(t) == hash(("D", 1, "|", 1))
 
     def test_sizes(self):
         assert SupportType.a(3).size == 3

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from cascade import cli, closed_forms
+from cascade import census, cli, closed_forms
 from cascade.census import TYPE_KEYS, SupportType
 from cascade.closed_forms import n_by_type_closed
 from cascade.geometry import Rank
@@ -134,6 +134,32 @@ class TestVerify:
             assert out.splitlines()[3] == (
                 "full-census,1,error,no error," + message.format(1) + ",FAIL"
             )
+
+    def test_broken_constituent_is_a_relation_space_fail_row(self, capsys, monkeypatch):
+        # The (7,1) dimension off by one: the rank's other checks still run.
+        exact = closed_forms.dim_4theta_minus_alpha
+        monkeypatch.setattr(closed_forms, "dim_4theta_minus_alpha", lambda rank: exact(rank) + 1)
+        code, out, err = run_cli(capsys, "verify", "--n", "2", "--oracle-cap", "0")
+        assert (code, err) == (1, "")
+        fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert fails == [
+            "FAIL weyl 7+1 n=2 expected 232 got 231",
+            "FAIL weyl relation-space n=2 expected 480 got 481",
+            "FAIL 2 of 49 checks",
+        ]
+
+    def test_walk_lookup_fault_is_fail_row(self, capsys, monkeypatch):
+        def faulty(table, degrees):
+            raise KeyError("shape (-2, -1, -1, -1)")
+
+        monkeypatch.setattr(census, "_fold", faulty)
+        code, out, err = run_cli(capsys, "verify", "--n", "1")
+        assert (code, err) == (1, "")
+        assert out.splitlines() == [
+            "n=1",
+            "FAIL full-census error n=1 expected no error got 'shape (-2, -1, -1, -1)'",
+            "FAIL 1 of 1 checks",
+        ]
 
     def test_fault_message_with_comma_is_quoted_in_csv(self, capsys, monkeypatch):
         def faulty(rank, lam):

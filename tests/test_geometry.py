@@ -31,6 +31,23 @@ def test_rank_validation():
         Rank(2).n = 3
 
 
+def test_rank_is_built_only_through_its_checks():
+    with pytest.raises(ValueError, match="rank must be >= 1, got 0"):
+        Rank._make((0, 2))
+    with pytest.raises(ValueError, match="rank must be >= 1, got 0"):
+        Rank(3)._replace(n=0)
+    with pytest.raises(ValueError, match="level must be >= 1, got 0"):
+        Rank(3)._replace(k=0)
+    assert Rank._make((3, 4)) == Rank(3)._replace(k=4) == Rank(3, 4)
+
+
+def test_rank_equals_no_plain_tuple():
+    assert Rank(3) != (3, 2) and (3, 2) != Rank(3)
+    assert not Rank(3) == (3, 2) and not (3, 2) == Rank(3)
+    assert hash(Rank(3)) == hash((3, 2))
+    assert len({Rank(3), Rank(3, 2)}) == 1
+
+
 def test_trapezoid_point_counts():
     assert len(trapezoid_points(Rank(1))) == 9
     assert len(trapezoid_points(Rank(3))) == 63

@@ -28,7 +28,7 @@ def test_partition_basics():
     assert pi.support == (X, Y)
     assert pi.multiplicity(X) == 2
     assert pi.multiplicity(Z) == 0
-    assert pi.expanded() == (X, X, Y)
+    assert pi.points == (X, X, Y)
     assert pi == ColoredPartition([(Y, 1), (X, 2)])
     assert hash(pi) == hash(ColoredPartition({Y: 1, X: 2}))
     assert bool(pi)
@@ -203,7 +203,7 @@ def test_representations_agree_with_counter_reference(pairs, rng):
         assert pi.degree(lambda p: trapezoid_degree(RANK3, p)) == sum(
             m * trapezoid_degree(RANK3, p) for p, m in counts.items()
         )
-        assert pi.expanded() == tuple(sorted(expansion))
+        assert pi.points == tuple(sorted(expansion))
         if expansion:
             # One more copy of a part: a different partition on the same support.
             assert pi != ColoredPartition.from_points(expansion + expansion[:1])
