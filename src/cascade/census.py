@@ -271,7 +271,7 @@ def _support_counts(
     so a product puts (a, b) in slot a + (size + 1) * b.  A slot counts
     distinct sets of at most 2 * size of the m points, fewer than
     C(m + 2 * size, 2 * size), and same <= total: none carries or borrows.
-    An empty region has no corner; its one chain, the empty one, is 1.
+    An empty region has no corner and no chain.
     """
     w = comb(len(coords) + 2 * size, 2 * size).bit_length()
     slot = (1 << w) - 1
@@ -279,9 +279,9 @@ def _support_counts(
     columns: dict[int, list[int]] = {}
     for x, y in sorted(points):
         columns.setdefault(x, []).append(y)
-    lowest = (min(columns, default=0), min((y for _, y in points), default=0))
     up = _quadrant_chains(columns, size, w)
-    counts = {SupportType.a(r): up.get(lowest, 1) >> r * w & slot for r in range(2, size + 1)}
+    chains = up[min(columns), min(y for _, y in points)] if points else 0
+    counts = {SupportType.a(r): chains >> r * w & slot for r in range(2, size + 1)}
     # Chains below (X, Y) are the chains above (-X, -Y) in the negated order.
     negated = {-x: [-y for y in reversed(ys)] for x, ys in reversed(columns.items())}
     down = _quadrant_chains(negated, size - 2, (size + 1) * w)

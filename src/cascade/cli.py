@@ -163,6 +163,8 @@ def _verify_rank(checks: _Checks, rank: Rank, cap: int) -> None:
     total_closed = cache(lambda: closed_forms.n_total_closed(rank))
     type_closed = cache(lambda t: closed_forms.n_by_type_closed(rank, t))
     support_closed = cache(lambda t: closed_forms.support_count_closed(rank, t))
+    theta = cache(lambda s: closed_forms.dim_s_theta(rank, s))
+    minus_alpha = cache(lambda: closed_forms.dim_4theta_minus_alpha(rank))
     check = "full-census"
     try:
         # Full-census comparison, affordable only up to the cap.
@@ -199,24 +201,11 @@ def _verify_rank(checks: _Checks, rank: Rank, cap: int) -> None:
         # Weyl dimension cross-checks.
         check = "weyl"
         for s in range(5):
-            checks.add(
-                n,
-                check,
-                f"{s}theta",
-                closed_forms.dim_s_theta(rank, s),
-                closed_forms.weyl_dim(rank, (2 * s,)),
-            )
+            checks.add(n, check, f"{s}theta", theta(s), closed_forms.weyl_dim(rank, (2 * s,)))
         if n >= 2:
-            checks.add(
-                n,
-                check,
-                "7+1",
-                closed_forms.dim_4theta_minus_alpha(rank),
-                closed_forms.weyl_dim(rank, (7, 1)),
-            )
+            checks.add(n, check, "7+1", minus_alpha(), closed_forms.weyl_dim(rank, (7, 1)))
         # The relation space's product form against its three constituents.
-        parts = closed_forms.dim_s_theta(rank, 3) + closed_forms.dim_s_theta(rank, 4)
-        parts += closed_forms.dim_4theta_minus_alpha(rank)
+        parts = theta(3) + theta(4) + minus_alpha()
         checks.add(n, check, "relation-space", closed_forms.dim_relation_space(rank), parts)
         check = "equivalence"
         checks.add(n, check, "identity", True, closed_forms.equivalence_identity(rank))

@@ -10,15 +10,13 @@ below it, the node ids of the tests that failed: the mutant's killers.  It
 exits 1 if any mutant survives or cannot be run (its old text is gone, or
 pytest ends in an error rather than a test failure).
 
-With --verify, each mutant of census.py also runs the user's own check,
-`cascade verify --n 1..5 --oracle-cap 5`, on the mutated copy, and the
-script prints its exit code and how it ended: in a FAIL row, in a
-traceback, or passing.  That line is a report; it does not change the
-exit code.
+Each mutant of census.py also runs the user's own check, `cascade verify
+--n 1..5 --oracle-cap 5`, on the mutated copy, and the script prints its
+exit code and how it ended: in a FAIL row, in a traceback, or passing.
+That line is a report; it does not change the exit code.
 
-    python3 tests/deep.py                      # every entry
-    python3 tests/deep.py NAME [NAME ...]      # the named entries
-    python3 tests/deep.py --verify [NAME ...]  # plus verify on census.py's
+    python3 tests/deep.py                  # every entry
+    python3 tests/deep.py NAME [NAME ...]  # the named entries
 
 pytest does not collect this file.  tests/test_deep.py checks that each old
 text occurs exactly once in today's source, so a refactor carries the
@@ -155,9 +153,8 @@ MUTANTS: tuple[Mutant, ...] = (
     # validated value classes and the FAIL row for every fault in a check.
     Mutant(
         "relation-space-row-from-product", CLI,
-        "parts = closed_forms.dim_s_theta(rank, 3) + closed_forms.dim_s_theta(rank, 4)\n"
-        "        parts += closed_forms.dim_4theta_minus_alpha(rank)\n",
-        "parts = closed_forms.dim_relation_space(rank)\n",
+        "parts = theta(3) + theta(4) + minus_alpha()",
+        "parts = closed_forms.dim_relation_space(rank)",
         ("tests/test_cli.py::TestVerify::test_broken_constituent_is_a_relation_space_fail_row",),
     ),
     Mutant(
@@ -202,11 +199,11 @@ def _verify_ending(copy: Path, env: dict[str, str]) -> str:
     return f"exit {proc.returncode}, {ending}"
 
 
-def run(mutant: Mutant, verify: bool = False) -> tuple[str, list[str], str | None]:
+def run(mutant: Mutant) -> tuple[str, list[str], str | None]:
     """Apply one mutant to a fresh copy of the tree and run all its tests:
     "killed", "survived", or why it could not be run, the node ids of the
-    tests that failed or ended in an error, and, when verify is set and the
-    mutant is in census.py, how the verify command ended on the copy."""
+    tests that failed or ended in an error, and, for a mutant of census.py,
+    how the verify command ended on the copy."""
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(
@@ -223,7 +220,7 @@ def run(mutant: Mutant, verify: bool = False) -> tuple[str, list[str], str | Non
             [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *mutant.tests],
             cwd=copy, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
         )
-        ending = _verify_ending(copy, env) if verify and mutant.path == CENSUS else None
+        ending = _verify_ending(copy, env) if mutant.path == CENSUS else None
     # Summary lines read "FAILED <node id> - <message>" (or ERROR).
     killers = [
         line.split(" - ")[0].split(" ", 1)[1]
@@ -234,9 +231,7 @@ def run(mutant: Mutant, verify: bool = False) -> tuple[str, list[str], str | Non
     return outcome, killers, ending
 
 
-def main(args: list[str]) -> int:
-    verify = "--verify" in args
-    names = [a for a in args if a != "--verify"]
+def main(names: list[str]) -> int:
     unknown = set(names) - {m.name for m in MUTANTS}
     if unknown:
         print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
@@ -244,7 +239,7 @@ def main(args: list[str]) -> int:
     chosen = [m for m in MUTANTS if not names or m.name in names]
     failed = 0
     for mutant in chosen:
-        outcome, killers, ending = run(mutant, verify)
+        outcome, killers, ending = run(mutant)
         print(f"{mutant.name}: {outcome}", *(f"  {k}" for k in killers), sep="\n")
         if ending:
             print(f"  verify: {ending}")
