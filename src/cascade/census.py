@@ -355,12 +355,18 @@ def _walk(
     above both, below both, or comparable to both but neither (no type; only
     a non-transitive relation has it); or the pair and such an x, completed
     by the y > x comparable to all three, split alike.
-    tally counts a head's completing points on each level (degree) by
-    popcount, under (type key, head degrees).  Their expansion is the
-    table's only writer: a chain head spreads its 4 - r repeats over all
-    positions, so two points of equal degree still count twice; a pair head
-    repeats its last point.  down[i], up[i] and comp[i] mask the points
-    below, above and comparable to i.
+    A head's completions read only its key: a chain i < j reads its later
+    points comparable to both, cij, and its degrees, since each k is in cij
+    and completes with cij & later[k]; a pair i < c reads both, above,
+    below, its row tag and its degrees, since each x is on a side and
+    completes with both & later[x].  So one pass counts the heads of each
+    key, and each key's completions run once.  tally adds a mask's popcount
+    on each level (degree), times the key's number of heads, under (type
+    key, head degrees).  The tallies' expansion is the table's only writer:
+    a chain head spreads its 4 - r repeats over all positions, so two
+    points of equal degree still count twice; a pair head repeats its last
+    point.  down[i], up[i] and comp[i] mask the points below, above and
+    comparable to i.
     """
     pts = list(points)
     down, up = [0] * len(pts), [0] * len(pts)
@@ -385,41 +391,46 @@ def _walk(
         for r in range(3) for s in range(3 - r) if r or s for delta in (SAME_ROW, DIFF_ROW)
     }
 
-    def tally(head, mask):
+    def tally(head, mask, times=1):
         counts = tallies.setdefault(head, [0] * len(level_masks))
         for li, level in enumerate(level_masks):
-            counts[li] += (mask & level).bit_count()
+            counts[li] += (mask & level).bit_count() * times
 
+    chains: dict[tuple, int] = {}  # (cij, di, dj) -> chain heads i < j
+    pairs: dict[tuple, int] = {}  # (both, above, below, row tag, di, dc) -> pairs i < c
     for i in range(len(comp)):
         ci, di = comp[i], degrees[i]
         if later[i]:
             tally(("A2", (di,)), later[i])
         for j in _indices(later[i]):
-            cij, dj = ci & later[j], degrees[j]
-            if cij:
-                tally(("A3", (di, dj)), cij)
-            for k in _indices(cij):
-                mask = cij & later[k]
-                if mask:
-                    tally(("A4", (di, dj, degrees[k])), mask)
+            key = (ci & later[j], di, degrees[j])
+            chains[key] = chains.get(key, 0) + 1
         for c in _indices(~ci & full & -(2 << i)):
-            dc = degrees[c]
             delta = SAME_ROW if pts[i].row == pts[c].row else DIFF_ROW
-            both, above, below = ci & comp[c], up[i] & up[c], down[i] & down[c]
-            for r, s, side in ((1, 0, above), (0, 1, below), (0, 0, both ^ above ^ below)):
-                tag = pair_key.get((r, delta, s))
-                if side:
-                    tally((tag, (di, dc)), side)
-                for x in _indices(side):
-                    head, rest = (di, dc, degrees[x]), both & later[x]
-                    if tag:
-                        if rest & above:
-                            tally((pair_key[r + 1, delta, s], head), rest & above)
-                        if rest & below:
-                            tally((pair_key[r, delta, s + 1], head), rest & below)
-                        rest &= ~(above | below)
-                    if rest:
-                        tally((None, head), rest)
+            key = (ci & comp[c], up[i] & up[c], down[i] & down[c], delta, di, degrees[c])
+            pairs[key] = pairs.get(key, 0) + 1
+    for (cij, di, dj), times in chains.items():
+        if cij:
+            tally(("A3", (di, dj)), cij, times)
+        for k in _indices(cij):
+            mask = cij & later[k]
+            if mask:
+                tally(("A4", (di, dj, degrees[k])), mask, times)
+    for (both, above, below, delta, di, dc), times in pairs.items():
+        for r, s, side in ((1, 0, above), (0, 1, below), (0, 0, both ^ above ^ below)):
+            tag = pair_key.get((r, delta, s))
+            if side:
+                tally((tag, (di, dc)), side, times)
+            for x in _indices(side):
+                head, rest = (di, dc, degrees[x]), both & later[x]
+                if tag:
+                    if rest & above:
+                        tally((pair_key[r + 1, delta, s], head), rest & above, times)
+                    if rest & below:
+                        tally((pair_key[r, delta, s + 1], head), rest & below, times)
+                    rest &= ~(above | below)
+                if rest:
+                    tally((None, head), rest, times)
     table: dict[tuple, int] = {}  # (type key or None, shape) -> N
     for (tag, head), counts in tallies.items():
         chain = tag in TYPE_KEYS[:3]
@@ -467,11 +478,12 @@ def _indices(mask: int) -> Iterator[int]:
 def oracle_full(rank: Rank) -> CensusReport:
     """Exhaustive census of N(pi) over every length-4 multiset on the trapezoid.
 
-    One process walks the chains of three points and the incomparable
-    pairs with one point comparable to both, 8 820 + 20 196 = 29 016 sets at
-    n=4, where the trapezoid has about 6.0 million length-4 multisets, and
-    counts the fourth point of each support by popcounts.  The number of
-    sets grows like n^6, so the command line runs it only up to its
+    One process walks the heads of the supports, grouped by the masks their
+    completions read: at n=4, where the trapezoid has about 6.0 million
+    length-4 multisets, 1 542 chains of two points in 142 keys and 4 236
+    incomparable pairs in 1 242, and counts the points completing each key
+    by popcounts.  The keys grow more slowly than the heads, but the work
+    still grows with n, so the command line runs it only up to its
     --oracle-cap; any valid rank is accepted here, and only the time grows.
     """
     if rank.k != 2:

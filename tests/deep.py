@@ -15,6 +15,10 @@ Each mutant of census.py also runs the user's own check, `cascade verify
 exit code and how it ended: in a FAIL row, in a traceback, or passing.
 That line is a report; it does not change the exit code.
 
+Each entry of CHECKS is a deep check, too slow for Tier-1, run on the tree
+itself: it returns None when it holds and a message when it does not, and a
+failed check makes the script exit 1 as a surviving mutant does.
+
     python3 tests/deep.py                  # every entry
     python3 tests/deep.py NAME [NAME ...]  # the named entries
 
@@ -80,6 +84,25 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "pair-head-n-is-head-length", CENSUS,
         "n_pi = len(head) if chain else 1", "n_pi = len(head)",
+        (NAIVE,),
+    ),
+    # The walk's head classes: each key's completions run once, weighted by
+    # its number of heads.  On a transitive order a pair's points comparable
+    # to both are those above or below both; only a non-transitive one tells.
+    Mutant(
+        "pair-key-without-both", CENSUS,
+        "key = (ci & comp[c], up[i] & up[c], down[i] & down[c],",
+        "key = (up[i] & up[c] | down[i] & down[c], up[i] & up[c], down[i] & down[c],",
+        (UNCLASSIFIED,),
+    ),
+    Mutant(
+        "group-weight-dropped", CENSUS,
+        "(mask & level).bit_count() * times", "(mask & level).bit_count()",
+        (NAIVE,),
+    ),
+    Mutant(
+        "chain-key-without-first-degree", CENSUS,
+        "key = (ci & later[j], di, degrees[j])", "key = (ci & later[j], degrees[j], degrees[j])",
         (NAIVE,),
     ),
     # The support walk's column-pair sweep and its quadrant tables.
@@ -231,10 +254,43 @@ def run(mutant: Mutant) -> tuple[str, list[str], str | None]:
     return outcome, killers, ending
 
 
+def literal_table_at_rank_three() -> str | None:
+    """The literal definition against the census walk at n=3, the first rank
+    with all 113 cells: N(pi) by n_count over all 720 720 length-4
+    partitions, summed by (type key or None, shape), must equal _walk's
+    table cell by cell."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from cascade import census, geometry
+    from cascade.leading import n_count
+    from cascade.partitions import enumerate_partitions
+
+    rank = geometry.Rank(3)
+    points = geometry.trapezoid_points(rank)
+    degree = {p: geometry.trapezoid_degree(rank, p) for p in points}
+    literal: dict[tuple, int] = {}
+    for pi in enumerate_partitions(points, 4):
+        n_pi = n_count(pi, rank)
+        if n_pi:
+            t = census.classify_support(pi.support)
+            key = (t and t.key(), tuple(sorted(degree[p] for p in pi.points)))
+            literal[key] = literal.get(key, 0) + n_pi
+    walked = census._walk(points, geometry.leq, [degree[p] for p in points])
+    wrong = sorted(
+        (k for k in literal.keys() | walked.keys() if literal.get(k) != walked.get(k)), key=repr
+    )
+    if not wrong:
+        return None
+    first = wrong[0]
+    return f"{len(wrong)} cells differ; {first}: literal {literal.get(first)}, walk {walked.get(first)}"
+
+
+CHECKS = {"literal-table-n3": literal_table_at_rank_three}
+
+
 def main(names: list[str]) -> int:
-    unknown = set(names) - {m.name for m in MUTANTS}
+    unknown = set(names) - {m.name for m in MUTANTS} - CHECKS.keys()
     if unknown:
-        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
+        print(f"unknown entries: {', '.join(sorted(unknown))}", file=sys.stderr)
         return 2
     chosen = [m for m in MUTANTS if not names or m.name in names]
     failed = 0
@@ -245,8 +301,17 @@ def main(names: list[str]) -> int:
             print(f"  verify: {ending}")
         sys.stdout.flush()
         failed += outcome != "killed"
-    print(f"{failed} of {len(chosen)} mutants not killed")
-    return 1 if failed else 0
+    if chosen:
+        print(f"{failed} of {len(chosen)} mutants not killed")
+    checks = [name for name in CHECKS if not names or name in names]
+    broken = 0
+    for name in checks:
+        fault = CHECKS[name]()
+        print(f"{name}: {fault or 'holds'}")
+        broken += fault is not None
+    if checks:
+        print(f"{broken} of {len(checks)} deep checks failed")
+    return 1 if failed or broken else 0
 
 
 if __name__ == "__main__":

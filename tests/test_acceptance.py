@@ -87,8 +87,8 @@ def test_criterion_03_oracles_agree(census_runs):
     assert reports[3].total == 40194
     assert reports[5].total == 980980
     assert times[3] < 1
-    assert times[4] < 1
-    assert times[5] < 1.5
+    assert times[4] < 0.1
+    assert times[5] < 0.3
     print(
         "\nPASS criterion 3: census and support walks agree for n=1..5 "
         f"(n=3 total 40194 in {times[3]:.2f}s, n=4 in {times[4]:.2f}s, "

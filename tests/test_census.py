@@ -264,6 +264,8 @@ class TestOracleFull:
         (1, "2e815674c0f2d75a1b1d9ee5f7ad51a868cee9f836c131798d2edb35782bc4ae"),
         (2, "11393f09aa348c34bcf5483f5269377f0def4a528009120087f969bfd56d2d52"),
         (3, "b27b6c42ef06aedac2f7b7526ad7b15fcd9deb268483daa752f35009a1ea1038"),
+        (4, "6dc023a080259c869414de5d2ba4d499fbaed6d0e3ced10ae2e85d81da05c87e"),
+        (5, "46f97f921bafd0699ce4db3e1e47aef08ab9dd4d4b5b4b5c075f1a0907ef0cd0"),
     ])
     def test_report_repr_is_pinned(self, n, digest):
         """The report's repr is pinned, so how the report and its types are
